@@ -222,7 +222,7 @@ class UnifiedMemory:
         if target_block < 0:
             return
         if (
-            buffer._find_exact(
+            buffer.find_exact(
                 MapKind.INTERLEAVED, target_block, entry.position, entry.granularity
             )
             is not None
@@ -364,12 +364,9 @@ class UnifiedMemory:
         the architecture doc's soundness conditions).
         """
         ancient = time_base - horizon
-        recent = tuple(
-            (b, t - time_base)
-            for b, t in sorted(self._last_store.items())
-            if t >= ancient
-        )
-        old = tuple(b for b, t in sorted(self._last_store.items()) if t < ancient)
+        stamps = sorted(self._last_store.items())
+        recent = tuple((b, t - time_base) for b, t in stamps if t >= ancient)
+        old = tuple(b for b, t in stamps if t < ancient)
         return (
             self.l1.fingerprint(),
             tuple(

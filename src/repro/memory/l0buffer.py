@@ -17,12 +17,20 @@ and invalidates the rest, matching the paper's single-write-port design.
 Timing: entries carry a ``ready`` cycle so fills in flight are visible —
 a load that touches an entry before its data arrives counts as a hit but
 completes only at ``ready`` (the processor stalls on use).
+
+Data structure: a recency map of every entry (oldest first), a bucket
+per L1 block holding that block's entries in the same recency order,
+and an exact-key map ``(is_linear, block, position, granularity) ->
+entry``.  Only an address's own block can cover it, so lookups, fills
+and store invalidations touch a handful of entries, not the whole
+buffer (invariants in the architecture doc).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 
 
 class MapKind(enum.Enum):
@@ -30,11 +38,17 @@ class MapKind(enum.Enum):
     INTERLEAVED = "interleaved"
 
 
+LINEAR = MapKind.LINEAR
+
+
 @dataclass(eq=False)
 class L0Entry:
-    """One resident subblock.  Identity equality (``eq=False``): entries
-    are mutable runtime objects tracked by the buffer's LRU list, and
-    ``list.remove`` must drop *this* entry, not a value-equal twin."""
+    """One resident subblock.  Identity equality and hashing
+    (``eq=False``): entries are mutable runtime objects that key the
+    buffer's recency map, and removing one must drop *this* entry, not
+    a value-equal twin.  The mapping fields (``kind`` to
+    ``granularity``) also key the buffer's block and exact indexes, so
+    they stay fixed while the entry is resident."""
 
     kind: MapKind
     block_addr: int  # base address of the owning L1 block
@@ -105,21 +119,20 @@ class L0Buffer:
         self.n_clusters = n_clusters
         self.subblock_bytes = block_bytes // n_clusters
         self.stats = stats if stats is not None else L0Stats()
-        self._entries: list[L0Entry] = []  # LRU order: index 0 = oldest
+        #: Every entry in recency order: first = least recently used.
+        self._lru: OrderedDict[L0Entry, None] = OrderedDict()
+        #: block_addr -> that block's entries, in the same recency order.
+        self._blocks: dict[int, list[L0Entry]] = {}
+        #: (is_linear, block_addr, position, granularity) -> entry.
+        self._exact: dict[tuple[bool, int, int, int], L0Entry] = {}
 
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
 
-    def _block_of(self, addr: int) -> int:
-        return addr - (addr % self.block_bytes)
-
-    def _covers(self, entry: L0Entry, addr: int, width: int) -> bool:
-        block = self._block_of(addr)
-        if block != entry.block_addr:
-            return False
-        offset = addr - block
-        if entry.kind is MapKind.LINEAR:
+    def _covers(self, entry: L0Entry, offset: int, width: int) -> bool:
+        """Does ``entry`` hold [offset, offset+width) of its own block?"""
+        if entry.kind is LINEAR:
             sub = self.subblock_bytes
             lo = entry.position * sub
             return lo <= offset and offset + width <= lo + sub
@@ -129,8 +142,13 @@ class L0Buffer:
         g = entry.granularity
         if width > g or offset % g:
             return False
-        element = offset // g
-        return element % self.n_clusters == entry.position
+        return (offset // g) % self.n_clusters == entry.position
+
+    def _matches(self, addr: int, width: int) -> list[L0Entry]:
+        """Entries covering [addr, addr+width), least recently used first."""
+        offset = addr % self.block_bytes
+        bucket = self._blocks.get(addr - offset, ())
+        return [e for e in bucket if self._covers(e, offset, width)]
 
     # ------------------------------------------------------------------
     # Lookup / fill / replacement
@@ -138,28 +156,36 @@ class L0Buffer:
 
     def find(self, addr: int, width: int) -> L0Entry | None:
         """Most-recently-used entry covering [addr, addr+width), no side effects."""
-        for entry in reversed(self._entries):
-            if self._covers(entry, addr, width):
+        offset = addr % self.block_bytes
+        for entry in reversed(self._blocks.get(addr - offset, ())):
+            if self._covers(entry, offset, width):
                 return entry
         return None
+
+    def find_exact(
+        self, kind: MapKind, block: int, position: int, granularity: int
+    ) -> L0Entry | None:
+        """The entry filled under exactly this mapping, if resident."""
+        return self._exact.get((kind is LINEAR, block, position, granularity))
 
     def access(self, addr: int, width: int, cycle: int) -> L0Entry | None:
         """Demand access: updates LRU and hit/miss statistics.
 
-        Inlined MRU-first cover scan (this is the simulator's hottest
-        memory loop); semantically identical to ``find`` + LRU bump.
+        Inlined MRU-first cover scan of the block's bucket (this is the
+        simulator's hottest memory loop); semantically identical to
+        ``find`` + LRU bump.
         """
-        entries = self._entries
-        block = addr - (addr % self.block_bytes)
-        offset = addr - block
-        sub = self.subblock_bytes
-        n = self.n_clusters
+        offset = addr % self.block_bytes
+        bucket = self._blocks.get(addr - offset)
         stats = self.stats
-        for idx in range(len(entries) - 1, -1, -1):
-            entry = entries[idx]
-            if entry.block_addr != block:
-                continue
-            if entry.kind is MapKind.LINEAR:
+        if bucket is None:
+            stats.misses += 1
+            return None
+        sub = self.subblock_bytes
+        last = len(bucket) - 1
+        for idx in range(last, -1, -1):
+            entry = bucket[idx]
+            if entry.kind is LINEAR:
                 lo = entry.position * sub
                 if lo <= offset and offset + width <= lo + sub:
                     break
@@ -168,7 +194,7 @@ class L0Buffer:
                 if (
                     width <= g
                     and not offset % g
-                    and (offset // g) % n == entry.position
+                    and (offset // g) % self.n_clusters == entry.position
                 ):
                     break
         else:
@@ -178,44 +204,64 @@ class L0Buffer:
         if entry.ready > cycle:
             stats.late_hits += 1
         entry.touched = True
-        if idx != len(entries) - 1:
-            del entries[idx]
-            entries.append(entry)
+        self._lru.move_to_end(entry)
+        if idx != last:
+            del bucket[idx]
+            bucket.append(entry)
         return entry
 
-    def _make_room(self) -> None:
-        if self.capacity is None:
-            return
-        while len(self._entries) >= self.capacity:
-            victim = self._entries.pop(0)
-            self.stats.evictions += 1
-            if victim.from_prefetch and not victim.touched:
-                self.stats.evicted_untouched_prefetches += 1
+    def _fill(
+        self,
+        kind: MapKind,
+        block: int,
+        position: int,
+        granularity: int,
+        ready: int,
+        from_prefetch: bool,
+    ) -> L0Entry:
+        key = (kind is LINEAR, block, position, granularity)
+        existing = self._exact.get(key)
+        if existing is not None:
+            existing.ready = min(existing.ready, ready)
+            return existing
+        stats = self.stats
+        if self.capacity is not None:
+            while len(self._lru) >= self.capacity:
+                # The LRU head, which is also the head of its bucket.
+                victim = next(iter(self._lru))
+                self._remove(victim)
+                stats.evictions += 1
+                if victim.from_prefetch and not victim.touched:
+                    stats.evicted_untouched_prefetches += 1
+        entry = L0Entry(kind, block, position, granularity, ready, 0, from_prefetch)
+        self._lru[entry] = None
+        self._blocks.setdefault(block, []).append(entry)
+        self._exact[key] = entry
+        if kind is LINEAR:
+            stats.linear_fills += 1
+        else:
+            stats.interleaved_fills += 1
+        return entry
+
+    def _remove(self, entry: L0Entry) -> None:
+        del self._lru[entry]
+        bucket = self._blocks[entry.block_addr]
+        bucket.remove(entry)
+        if not bucket:
+            del self._blocks[entry.block_addr]
+        del self._exact[
+            (entry.kind is LINEAR, entry.block_addr, entry.position, entry.granularity)
+        ]
 
     def fill_linear(
         self, addr: int, ready: int, *, from_prefetch: bool = False
     ) -> L0Entry:
         """Insert the linear subblock containing ``addr`` (idempotent)."""
-        block = self._block_of(addr)
-        position = (addr - block) // self.subblock_bytes
-        existing = self._find_exact(
-            MapKind.LINEAR, block, position, self.subblock_bytes
+        offset = addr % self.block_bytes
+        sub = self.subblock_bytes
+        return self._fill(
+            LINEAR, addr - offset, offset // sub, sub, ready, from_prefetch
         )
-        if existing is not None:
-            existing.ready = min(existing.ready, ready)
-            return existing
-        self._make_room()
-        entry = L0Entry(
-            kind=MapKind.LINEAR,
-            block_addr=block,
-            position=position,
-            granularity=self.subblock_bytes,
-            ready=ready,
-            from_prefetch=from_prefetch,
-        )
-        self._entries.append(entry)
-        self.stats.linear_fills += 1
-        return entry
 
     def fill_interleaved(
         self,
@@ -226,37 +272,9 @@ class L0Buffer:
         *,
         from_prefetch: bool = False,
     ) -> L0Entry:
-        existing = self._find_exact(
-            MapKind.INTERLEAVED, block_addr, residue, granularity
+        return self._fill(
+            MapKind.INTERLEAVED, block_addr, residue, granularity, ready, from_prefetch
         )
-        if existing is not None:
-            existing.ready = min(existing.ready, ready)
-            return existing
-        self._make_room()
-        entry = L0Entry(
-            kind=MapKind.INTERLEAVED,
-            block_addr=block_addr,
-            position=residue,
-            granularity=granularity,
-            ready=ready,
-            from_prefetch=from_prefetch,
-        )
-        self._entries.append(entry)
-        self.stats.interleaved_fills += 1
-        return entry
-
-    def _find_exact(
-        self, kind: MapKind, block: int, position: int, granularity: int
-    ) -> L0Entry | None:
-        for entry in self._entries:
-            if (
-                entry.kind is kind
-                and entry.block_addr == block
-                and entry.position == position
-                and entry.granularity == granularity
-            ):
-                return entry
-        return None
 
     # ------------------------------------------------------------------
     # Stores & invalidation
@@ -269,26 +287,28 @@ class L0Buffer:
         data is replicated under different mapping functions only one
         entry is written; the rest are invalidated (section 4.1).
         """
-        matches = [e for e in self._entries if self._covers(e, addr, width)]
+        matches = self._matches(addr, width)
         if not matches:
             return
-        keep = matches[-1]  # most recently used copy
+        keep = matches.pop()  # most recently used copy
         keep.update_time = max(keep.update_time, cycle)
         self.stats.store_updates += 1
-        for entry in matches[:-1]:
-            self._entries.remove(entry)
+        for entry in matches:
+            self._remove(entry)
             self.stats.store_invalidations += 1
 
     def invalidate_matching(self, addr: int, width: int) -> int:
         """Drop every entry covering the address (PSR replica behaviour)."""
-        matches = [e for e in self._entries if self._covers(e, addr, width)]
+        matches = self._matches(addr, width)
         for entry in matches:
-            self._entries.remove(entry)
+            self._remove(entry)
             self.stats.store_invalidations += 1
         return len(matches)
 
     def invalidate_all(self) -> None:
-        self._entries.clear()
+        self._lru.clear()
+        self._blocks.clear()
+        self._exact.clear()
         self.stats.invalidate_alls += 1
 
     # ------------------------------------------------------------------
@@ -300,25 +320,29 @@ class L0Buffer:
     ) -> bool:
         """Is ``addr`` the last (or first) element of ``entry``'s subblock?"""
         offset = addr - entry.block_addr
-        if entry.kind is MapKind.LINEAR:
+        if entry.kind is LINEAR:
             sub = self.subblock_bytes
             within = offset - entry.position * sub
             return within + width == sub if last else within == 0
         g = entry.granularity
-        element = offset // g
+        residue = entry.position
         elements_per_block = self.block_bytes // g
-        owned = [
-            j
-            for j in range(elements_per_block)
-            if j % self.n_clusters == entry.position
-        ]
-        return element == (owned[-1] if last else owned[0])
+        if not 0 <= residue < elements_per_block:
+            raise ValueError(
+                f"residue {residue} owns no {g}-byte element of a "
+                f"{self.block_bytes}-byte block"
+            )
+        if not last:
+            return offset // g == residue
+        n = self.n_clusters
+        return offset // g == residue + (elements_per_block - 1 - residue) // n * n
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     def entries(self) -> list[L0Entry]:
-        return list(self._entries)
+        """Resident entries, least recently used first."""
+        return list(self._lru)
 
     # ------------------------------------------------------------------
     # Fast-path hooks (convergence early-exit)
@@ -326,7 +350,7 @@ class L0Buffer:
 
     def shift_time(self, delta: int) -> None:
         """Advance every entry's fill/update stamp by ``delta`` cycles."""
-        for entry in self._entries:
+        for entry in self._lru:
             entry.ready += delta
             entry.update_time += delta
 
@@ -354,5 +378,5 @@ class L0Buffer:
                 e.from_prefetch,
                 e.touched,
             )
-            for e in self._entries
+            for e in self._lru
         )

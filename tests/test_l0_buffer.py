@@ -151,3 +151,28 @@ class TestEdgeElements:
         assert buf.is_edge_element(entry, 0x200 + 2 * 14, 2, last=True)
         assert buf.is_edge_element(entry, 0x200 + 2 * 2, 2, last=False)
         assert not buf.is_edge_element(entry, 0x200 + 2 * 6, 2, last=True)
+
+    @pytest.mark.parametrize("n_clusters", [2, 4])
+    @pytest.mark.parametrize("granularity", [1, 2, 4, 8, 16, 32])
+    def test_interleaved_closed_form_matches_owned_list(self, granularity, n_clusters):
+        """The closed-form first/last owned element equals the one read
+        off the explicit list of owned elements, for every residue."""
+        buf = L0Buffer(entries=None, block_bytes=32, n_clusters=n_clusters)
+        elements_per_block = 32 // granularity
+        for residue in range(n_clusters):
+            entry = buf.fill_interleaved(0x200, residue, granularity, ready=0)
+            owned = [
+                j for j in range(elements_per_block) if j % n_clusters == residue
+            ]
+            for last in (False, True):
+                for element in range(elements_per_block):
+                    addr = 0x200 + element * granularity
+                    if not owned:
+                        with pytest.raises(ValueError, match="owns no"):
+                            buf.is_edge_element(entry, addr, granularity, last)
+                        continue
+                    expected = element == (owned[-1] if last else owned[0])
+                    assert (
+                        buf.is_edge_element(entry, addr, granularity, last)
+                        == expected
+                    )
