@@ -2,24 +2,23 @@
 
 ``python -m repro.cache <command>`` operates on the three cache
 directories the pipeline persists — the result store (``ResultCache``,
-``<key>.json``), the compile-artifact store (``CompiledLoopCache``,
-``<key>.pkl``) and the fuzz-job store (``repro.fuzz.FuzzStore``,
-``<key>.json``) — through their shared manifest/GC machinery:
+``.json``), the compile-artifact store (``CompiledLoopCache``,
+``.pkl``) and the fuzz-job store (``repro.fuzz.FuzzStore``, ``.json``).
+All three are :class:`~repro.pipeline.cache.KeyedFileStore` directories
+with one layout, ``<dir>/<key[0]>/<key><suffix>`` plus a
+``manifest.json`` per shard, so one manifest/GC machinery serves them:
 
 * ``stats``  — entry counts, bytes, fingerprint breakdown per store;
 * ``ls``     — per-entry listing (size, age, last hit, description);
 * ``gc``     — bound the directories (``--max-bytes``, LRU by last
   hit) and orphan-sweep entries from other code fingerprints;
-* ``verify`` — decode-check every entry, drop the corrupt, migrate
-  legacy result entries to the current schema (exit 1 if anything was
-  corrupt, so CI can assert a restored cache is sound).
+* ``verify`` — decode-check every entry and drop the corrupt, such as
+  torn writes or result entries of another schema (exit 1 if anything
+  was corrupt, so CI can assert a restored cache is sound).
 
 The directories default to the names CI persists (``.result-cache``,
 ``.compile-cache``, ``.fuzz-cache``); a missing directory is skipped,
-never created.  Result stores written sharded by the sweep service
-(``repro.service``) are auto-detected from their hex-prefix shard
-subdirectories and operated on shard by shard — missing shard
-directories are likewise skipped, never created.
+never created, and so is a missing shard directory.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import sys
 import time
 from pathlib import Path
 
-from ..pipeline.cache import ResultCache, ShardedKeyedFileStore, code_fingerprint
+from ..pipeline.cache import ResultCache, code_fingerprint
 from ..pipeline.compilecache import CompiledLoopCache
 
 _SIZE_UNITS = {"": 1, "K": 1024, "M": 1024**2, "G": 1024**3}
@@ -103,9 +102,6 @@ def cmd_stats(args) -> int:
             name = e.fingerprint or "unknown"
             by_fp[name] = by_fp.get(name, 0) + 1
         print(f"{label}: {cache.store.path}")
-        if isinstance(cache.store, ShardedKeyedFileStore):
-            shards = len(cache.store.shard_stores())
-            print(f"  sharded: {shards} shards (prefix width {cache.store.width})")
         print(f"  entries: {len(entries)}  bytes: {total} ({format_size(total)})")
         for fp, count in sorted(by_fp.items(), key=lambda kv: -kv[1]):
             tag = " (current)" if fp == current else ""
@@ -164,11 +160,7 @@ def cmd_verify(args) -> int:
     for label, cache in open_stores(args):
         report = cache.verify()
         corrupt += len(report.corrupt)
-        migrated = f", migrated {len(report.migrated)}" if report.migrated else ""
-        print(
-            f"{label}: {report.ok} entries ok, "
-            f"{len(report.corrupt)} corrupt removed{migrated}"
-        )
+        print(f"{label}: {report.ok} entries ok, {len(report.corrupt)} corrupt removed")
         if getattr(args, "analyze", False) and label == "compile":
             # Beyond decode soundness: run the static certifier over
             # every artifact that survived verification.
@@ -227,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
 
     verify = sub.add_parser(
         "verify",
-        help="decode-check every entry; drop corrupt, migrate legacy "
+        help="decode-check every entry and drop the corrupt "
         "(exit 1 if anything was corrupt)",
     )
     verify.add_argument(

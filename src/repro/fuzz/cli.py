@@ -32,7 +32,7 @@ from .regressions import (
     write_repro,
 )
 from .shrink import shrink
-from .store import FUZZ_SCHEMA_VERSION, FuzzStore
+from .store import FuzzStore
 
 
 def _parse_seed_range(text: str) -> tuple[int, int]:
@@ -215,17 +215,13 @@ def cmd_stats(args) -> int:
     if not path.is_dir():
         print(f"no fuzz store at {path}", file=sys.stderr)
         return 1
+    # Read-only: peek() neither records hits nor drops foreign entries.
+    store = FuzzStore(path).store
     total = clean = mismatched = skipped = foreign = 0
     by_config: dict[str, int] = {}
-    for file in sorted(path.glob("*.json")):
-        if file.name == "manifest.json":
-            continue
-        try:
-            entry = json.loads(file.read_text())
-        except (OSError, json.JSONDecodeError):
-            foreign += 1
-            continue
-        if not isinstance(entry, dict) or entry.get("schema") != FUZZ_SCHEMA_VERSION:
+    for key in store.entries():
+        entry = store.peek(key)
+        if entry is None:
             foreign += 1
             continue
         total += 1

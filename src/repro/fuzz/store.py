@@ -1,6 +1,6 @@
 """The fuzz store: content-addressed, deduplicating job results.
 
-One ``<key>.json`` per (kernel, config, checks, options, code
+One ``<key[0]>/<key>.json`` per (kernel, config, checks, options, code
 fingerprint) job, holding the schema-1 entry
 ``{"job": ..., "mismatches": [...], "skipped": [...], "schema": 1}``.
 Keys mix the code fingerprint, so a store persisted across commits
@@ -83,7 +83,7 @@ class FuzzStore:
         self._store.save(key, entry, description=description)
 
     def flush(self) -> None:
-        self._store.manifest.flush()
+        self._store.flush()
 
     def gc(self, **kwargs) -> GCReport:
         return self._store.gc(**kwargs)

@@ -66,9 +66,6 @@ class DDG:
     def reg_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.kind is DepKind.REG]
 
-    def mem_edges(self) -> list[Edge]:
-        return [e for e in self.edges if e.kind is DepKind.MEM]
-
     # ------------------------------------------------------------------
     # Longest-path machinery (shared by MII, SMS and the scheduler)
     # ------------------------------------------------------------------

@@ -135,6 +135,3 @@ class LoopNest:
     name: str
     loops: list[Loop]
     invocations: dict[str, int] = field(default_factory=dict)
-
-    def invocation_count(self, loop: Loop) -> int:
-        return self.invocations.get(loop.name, 1)

@@ -85,10 +85,6 @@ class Opcode(enum.Enum):
     def is_store(self) -> bool:
         return self is Opcode.STORE
 
-    @property
-    def is_comm(self) -> bool:
-        return self is Opcode.COMM
-
 
 #: Opcodes whose results feed other instructions (everything but stores,
 #: prefetches, invalidates and nops produces a register value).

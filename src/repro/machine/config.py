@@ -95,14 +95,6 @@ class MachineConfig:
     def latency_of(self, opcode: Opcode) -> int:
         return self.op_latencies[opcode]
 
-    @property
-    def load_l0_latency(self) -> int:
-        return self.l0_latency
-
-    @property
-    def load_l1_latency(self) -> int:
-        return self.l1_latency
-
     def fu_count(self, fu_class: "FUClass") -> int:  # noqa: F821 - doc only
         from ..isa.operations import FUClass
 

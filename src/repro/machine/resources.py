@@ -68,6 +68,3 @@ class ResourceModel:
     def total_fu_slots(self, fu_class: FUClass) -> int:
         """Machine-wide issue slots per cycle for one FU class."""
         return self._config.fu_count(fu_class) * self._config.n_clusters
-
-    def all_resources(self) -> list[object]:
-        return list(self._capacity)

@@ -7,7 +7,8 @@ Three layers, consumed bottom-up by the rest of the stack:
   ``repro.scheduler.compile_loop`` is now a thin wrapper over it.
 * **Result cache** (:mod:`.cache`) — content-addressed
   ``(benchmark, MachineConfig, SimOptions)`` -> :class:`ProgramResult`
-  store with an optional on-disk JSON mirror.
+  store with an optional on-disk JSON mirror in the sharded
+  :class:`KeyedFileStore` every persisted cache shares.
 * **Executor + session** (:mod:`.executor`, :mod:`.session`) — serial or
   process-parallel fan-out of simulation requests behind the cache;
   ``repro.eval.ExperimentContext`` runs everything through a session.
@@ -23,13 +24,11 @@ from .cache import (
     RESULT_SCHEMA_VERSION,
     KeyedFileStore,
     ResultCache,
-    ShardedKeyedFileStore,
     cache_key,
     code_fingerprint,
     decode_result,
     describe_config,
     describe_options,
-    detect_shard_width,
     encode_result,
     result_fingerprint,
     result_schema_digest,
@@ -99,7 +98,6 @@ __all__ = [
     "RunRequest",
     "SerialExecutor",
     "Session",
-    "ShardedKeyedFileStore",
     "StoreManifest",
     "VerifyReport",
     "available_passes",
@@ -113,7 +111,6 @@ __all__ = [
     "describe_config",
     "describe_options",
     "describe_request",
-    "detect_shard_width",
     "drop_compile_cache",
     "encode_result",
     "execute_request",

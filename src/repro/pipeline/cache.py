@@ -7,9 +7,15 @@ of those three values.  Experiments that share a configuration share
 cache entries automatically, regardless of what display label each
 experiment uses.
 
-The cache is in-memory first with an optional on-disk JSON store
-(one file per key), so sweeps can survive process restarts and be
-shared between the CLI and the benchmark harness.
+The cache is in-memory first with an optional on-disk JSON store, so
+sweeps can survive process restarts and be shared between the CLI, the
+sweep-service workers and the benchmark harness.  That store is a
+:class:`KeyedFileStore` — the one on-disk layout every persisted cache
+(results, compile artifacts, fuzz jobs) uses: one file per key at
+``<dir>/<key[0]>/<key><suffix>`` and one ``manifest.json`` per shard.
+Result entries are written in a versioned envelope
+(:data:`RESULT_SCHEMA_VERSION`); anything else — a foreign schema, a
+torn write, a bare pre-envelope payload — reads as a miss.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from ..machine.config import MachineConfig
 from ..sim.runner import SimOptions
 from ..sim.stats import ProgramResult
 from .manifest import (
-    LEGACY_FINGERPRINT,
     GCReport,
+    ManifestEntry,
     StoreManifest,
     VerifyReport,
     _is_key,
@@ -228,9 +234,21 @@ def describe_options(options) -> dict:
     return _non_defaults(options, structured=lambda v: str(_canonical(v)))
 
 
+def _is_shard(name: str) -> bool:
+    """Whether a directory name is one of the store's hex-prefix shards."""
+    return len(name) == 1 and name in "0123456789abcdef"
+
+
 class KeyedFileStore:
-    """On-disk store of content-keyed entries, shared by the result and
-    compile caches: one ``<key><suffix>`` file per entry.
+    """On-disk store of content-keyed entries, shared by the result,
+    compile and fuzz caches.
+
+    Entry ``<key>`` lives in ``path/<key[0]>/<key><suffix>``, and each
+    of the (at most sixteen) hex-prefix shard directories carries its
+    own :class:`~repro.pipeline.manifest.StoreManifest`.  Processes
+    writing one store — sweep-service workers — mostly land on
+    different shards, so their manifest flushes and GC passes rarely
+    wait on the same ``manifest.json`` lock.
 
     Concurrency contract (multiple processes may share one directory):
     writes go to a per-process tmp name and are installed by atomic
@@ -238,6 +256,9 @@ class KeyedFileStore:
     or vanished entry decodes as a miss (and is dropped), never a
     crash; ``clear()`` removes only key-named files this store could
     have written, tolerating entries another process unlinked first.
+    Only ``save`` creates a shard directory: lookups and maintenance
+    skip missing shards, so pointing a tool at an empty store never
+    litters it.
     """
 
     def __init__(self, path: str | Path, suffix: str, encode, decode) -> None:
@@ -246,15 +267,33 @@ class KeyedFileStore:
         self.suffix = suffix
         self._encode = encode  # value -> bytes
         self._decode = decode  # bytes -> value (raises on corruption)
-        self.manifest = StoreManifest(self.path, suffix)
+        self._manifests: dict[str, StoreManifest] = {}
 
     def _file(self, key: str) -> Path:
-        return self.path / f"{key}{self.suffix}"
+        return self.path / key[0] / f"{key}{self.suffix}"
+
+    def shard_manifest(self, key: str) -> StoreManifest:
+        """Manifest of the shard holding ``key`` (a key or a shard name)."""
+        name = key[0]
+        manifest = self._manifests.get(name)
+        if manifest is None:
+            manifest = StoreManifest(self.path / name, self.suffix)
+            self._manifests[name] = manifest
+        return manifest
+
+    def _shards(self) -> list[StoreManifest]:
+        """Manifests of every shard directory that exists, in key order."""
+        return [
+            self.shard_manifest(child.name)
+            for child in sorted(self.path.iterdir())
+            if child.is_dir() and _is_shard(child.name)
+        ]
 
     def load(self, key: str):
         file = self._file(key)
         if not file.exists():
             return None
+        manifest = self.shard_manifest(key)
         try:
             value = self._decode(file.read_bytes())
         except Exception:
@@ -264,27 +303,37 @@ class KeyedFileStore:
                 file.unlink(missing_ok=True)
             except OSError:
                 pass
-            self.manifest.forget(key)
-            self.manifest.flush()
+            manifest.forget(key)
+            manifest.flush()
             return None
-        self.manifest.touch(key)
+        manifest.touch(key)
         return value
+
+    def peek(self, key: str):
+        """Decode ``key``'s entry, ``None`` if missing or corrupt, without
+        recording a hit or dropping anything (read-only reporting)."""
+        try:
+            return self._decode(self._file(key).read_bytes())
+        except Exception:
+            return None
 
     def save(self, key: str, value, *, description: dict | None = None) -> None:
         # Persistence is best-effort: callers already serve the value
         # from memory, so a disk failure must not abort the sweep.
-        tmp = self.path / f".{key}.{os.getpid()}.tmp"
+        file = self._file(key)
+        tmp = file.parent / f".{key}.{os.getpid()}.tmp"
         try:
             blob = self._encode(value)
+            file.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_bytes(blob)
-            tmp.replace(self._file(key))
+            tmp.replace(file)
         except OSError:
             try:
                 tmp.unlink(missing_ok=True)
             except OSError:
                 pass
             return
-        self.manifest.record(
+        self.shard_manifest(key).record(
             key,
             size=len(blob),
             fingerprint=code_fingerprint(),
@@ -294,25 +343,30 @@ class KeyedFileStore:
     def clear(self) -> None:
         """Remove all entries — only files this store wrote, never the
         directory's unrelated contents."""
-        for file in self.path.glob(f"*{self.suffix}"):
-            if _is_key(file.stem):
-                file.unlink(missing_ok=True)
-        # Orphaned tmp files from writers killed mid-save.
-        for tmp in self.path.glob(".*.tmp"):
-            if _is_key(tmp.name[1:].split(".")[0]):
-                tmp.unlink(missing_ok=True)
-        self.manifest.reset()
+        for manifest in self._shards():
+            for file in manifest.path.glob(f"*{self.suffix}"):
+                if _is_key(file.stem):
+                    file.unlink(missing_ok=True)
+            # Orphaned tmp files from writers killed mid-save.
+            for tmp in manifest.path.glob(".*.tmp"):
+                if _is_key(tmp.name[1:].split(".")[0]):
+                    tmp.unlink(missing_ok=True)
+            manifest.reset()
 
     # -- introspection and maintenance ----------------------------------
 
     def flush(self) -> None:
         """Persist buffered manifest updates (recency hits, new rows)."""
-        self.manifest.flush()
+        for manifest in self._manifests.values():
+            manifest.flush()
 
-    def entries(self):
-        """Manifest view reconciled against the directory (see
+    def entries(self) -> dict[str, ManifestEntry]:
+        """Manifest view reconciled against the shard directories (see
         :meth:`StoreManifest.entries`)."""
-        return self.manifest.entries()
+        out: dict[str, ManifestEntry] = {}
+        for manifest in self._shards():
+            out.update(manifest.entries())
+        return out
 
     def total_bytes(self) -> int:
         return sum(e.size for e in self.entries().values())
@@ -324,7 +378,7 @@ class KeyedFileStore:
         keep_fingerprints=None,
         min_age_s: float = 0.0,
     ) -> GCReport:
-        """Garbage-collect the directory; returns what was removed.
+        """Garbage-collect the store shard by shard; returns what was removed.
 
         Two policies, both opt-in per call:
 
@@ -333,272 +387,95 @@ class KeyedFileStore:
           *known* to have been written by any other fingerprint are
           removed: their keys mix the writer's fingerprint, so no
           current run can ever hit them again.  Entries with an
-          *unknown* fingerprint (pre-manifest files, rebuilt manifests)
-          are conservatively kept — only the size cap can reclaim them.
+          *unknown* fingerprint (rebuilt manifests) are conservatively
+          kept — only the size cap can reclaim them.
         * **LRU size cap** — with ``max_bytes``, least-recently-hit
-          entries are evicted until the directory fits.  Entries
-          younger than ``min_age_s`` are skipped (grace period for
-          concurrent writers), so the cap is a target, not a guarantee.
+          entries are evicted until the store fits.  The cap divides
+          evenly across the existing shards (content keys are uniform
+          sha256, so that is a global cap in expectation, and each
+          shard collects without a store-wide lock).  Entries younger
+          than ``min_age_s`` are skipped (grace period for concurrent
+          writers), so the cap is a target, not a guarantee.
 
         Concurrent safety: eviction unlinks only *installed* files;
         in-flight ``.tmp`` writes are never touched, and a concurrent
         writer's atomic rename simply reinstalls its entry.
         """
-        self.manifest.flush()
-        entries = self.entries()
-        report = GCReport(
-            path=str(self.path),
-            entries_before=len(entries),
-            bytes_before=sum(e.size for e in entries.values()),
-        )
-
-        def _drop(key: str) -> bool:
-            try:
-                self._file(key).unlink(missing_ok=True)
-            except OSError:
-                return False
-            self.manifest.forget(key)
-            return True
-
-        if keep_fingerprints is not None:
-            keep = set(keep_fingerprints)
-            for key, entry in list(entries.items()):
-                known_foreign = (
-                    entry.fingerprint is not None and entry.fingerprint not in keep
-                )
-                if known_foreign and _drop(key):
-                    report.orphans.append(key)
-                    del entries[key]
-
-        if max_bytes is not None:
-            total = sum(e.size for e in entries.values())
-            now = time.time()
-            by_lru = sorted(
-                entries.values(), key=lambda e: (e.last_hit, e.created, e.key)
-            )
-            for entry in by_lru:
-                if total <= max_bytes:
-                    break
-                if now - entry.created < min_age_s:
-                    continue
-                if _drop(entry.key):
-                    report.evicted.append(entry.key)
-                    total -= entry.size
-
-        self.manifest.rewrite()
-        remaining = self.entries()
-        report.entries_after = len(remaining)
-        report.bytes_after = sum(e.size for e in remaining.values())
-        return report
-
-    def verify(self, *, migrate=None) -> VerifyReport:
-        """Decode every entry; drop the corrupt, optionally migrate.
-
-        ``migrate`` is an optional ``bytes -> bytes | None`` hook: given
-        a *valid* entry's raw bytes it returns replacement bytes (the
-        entry is rewritten atomically) or ``None`` (already current).
-        The result store uses it to upgrade legacy un-versioned entries
-        into the current schema envelope.
-        """
-        report = VerifyReport(path=str(self.path))
-        for file in sorted(self.path.glob(f"*{self.suffix}")):
-            if not _is_key(file.stem):
-                continue
-            try:
-                data = file.read_bytes()
-            except OSError:  # vanished under a concurrent clear/gc
-                continue
-            try:
-                self._decode(data)
-            except Exception:
-                try:
-                    file.unlink(missing_ok=True)
-                except OSError:
-                    pass
-                self.manifest.forget(file.stem)
-                report.corrupt.append(file.stem)
-                continue
-            if migrate is not None:
-                upgraded = migrate(data)
-                if upgraded is not None:
-                    tmp = self.path / f".{file.stem}.{os.getpid()}.tmp"
-                    try:
-                        tmp.write_bytes(upgraded)
-                        tmp.replace(file)
-                    except OSError:
-                        try:
-                            tmp.unlink(missing_ok=True)
-                        except OSError:
-                            pass
-                    else:
-                        report.migrated.append(file.stem)
-                        # A legacy entry was provably written by older
-                        # code: its key (which mixes that fingerprint)
-                        # is unreachable from the current build.  Mark
-                        # it so the orphan sweep may reclaim it instead
-                        # of letting dead data occupy the size budget.
-                        self.manifest.record(
-                            file.stem,
-                            size=len(upgraded),
-                            fingerprint=LEGACY_FINGERPRINT,
-                        )
-            report.ok += 1
-        self.manifest.rewrite()
-        return report
-
-
-# ----------------------------------------------------------------------
-# Sharded store
-# ----------------------------------------------------------------------
-
-#: Shard-prefix widths a store may use (1 hex char = 16 shards, 2 = 256).
-SHARD_WIDTHS = (1, 2)
-
-
-def _is_shard_name(name: str, width: int) -> bool:
-    return len(name) == width and all(c in "0123456789abcdef" for c in name)
-
-
-def detect_shard_width(path: str | Path) -> int | None:
-    """Shard-prefix width of an existing store directory, ``None`` if flat.
-
-    A sharded store is recognised by its hex-prefix subdirectories
-    (``0``..``f`` or ``00``..``ff``); a flat store has none.  Used so
-    maintenance tooling and resumed sweeps open a directory the way it
-    was written without being told.
-    """
-    path = Path(path)
-    if not path.is_dir():
-        return None
-    for width in SHARD_WIDTHS:
-        for child in sorted(path.iterdir()):
-            if child.is_dir() and _is_shard_name(child.name, width):
-                return width
-    return None
-
-
-class ShardedKeyedFileStore:
-    """A :class:`KeyedFileStore` partitioned by key prefix.
-
-    Entry ``<key>`` lives in ``path/<key[:width]>/<key><suffix>``, and
-    every shard directory carries its *own* sidecar manifest.  That is
-    the point: N workers writing results land on different shards with
-    probability ``1 - 1/16**width``, so their read-merge-write manifest
-    flushes (and GC passes) stop contending on a single ``manifest.json``.
-
-    The read/maintenance surface mirrors :class:`KeyedFileStore`
-    (``load``/``save``/``entries``/``gc``/``verify``/``clear``/``flush``)
-    but only ``save`` ever creates a shard directory — lookups and
-    maintenance skip missing shards, so pointing a tool at an empty or
-    partially populated store never litters it with empty dirs.
-    """
-
-    def __init__(
-        self, path: str | Path, suffix: str, encode, decode, *, width: int = 1
-    ) -> None:
-        if width not in SHARD_WIDTHS:
-            raise ValueError(f"shard width must be one of {SHARD_WIDTHS}: {width}")
-        self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-        self.suffix = suffix
-        self.width = width
-        self._encode = encode
-        self._decode = decode
-        self._shards: dict[str, KeyedFileStore] = {}
-
-    def _shard(self, key: str, *, create: bool) -> KeyedFileStore | None:
-        name = key[: self.width]
-        store = self._shards.get(name)
-        if store is None:
-            if not create and not (self.path / name).is_dir():
-                return None  # read path: a missing shard is a miss, not a mkdir
-            store = KeyedFileStore(
-                self.path / name, self.suffix, self._encode, self._decode
-            )
-            self._shards[name] = store
-        return store
-
-    def shard_stores(self) -> list[KeyedFileStore]:
-        """Sub-stores for every shard directory that exists, sorted."""
-        out: list[KeyedFileStore] = []
-        for child in sorted(self.path.iterdir()):
-            if child.is_dir() and _is_shard_name(child.name, self.width):
-                store = self._shards.get(child.name)
-                if store is None:
-                    store = KeyedFileStore(
-                        child, self.suffix, self._encode, self._decode
-                    )
-                    self._shards[child.name] = store
-                out.append(store)
-        return out
-
-    def load(self, key: str):
-        store = self._shard(key, create=False)
-        return None if store is None else store.load(key)
-
-    def save(self, key: str, value, *, description: dict | None = None) -> None:
-        self._shard(key, create=True).save(key, value, description=description)
-
-    def clear(self) -> None:
-        for store in self.shard_stores():
-            store.clear()
-
-    def flush(self) -> None:
-        for store in self.shard_stores():
-            store.flush()
-
-    def entries(self) -> dict[str, ManifestEntry]:
-        out: dict[str, ManifestEntry] = {}
-        for store in self.shard_stores():
-            out.update(store.entries())
-        return out
-
-    def total_bytes(self) -> int:
-        return sum(e.size for e in self.entries().values())
-
-    def gc(
-        self,
-        *,
-        max_bytes: int | None = None,
-        keep_fingerprints=None,
-        min_age_s: float = 0.0,
-    ) -> GCReport:
-        """Per-shard GC, aggregated into one report.
-
-        The size cap divides evenly across the existing shards — content
-        keys are uniform sha256, so an even split is a global cap in
-        expectation, and keeping each shard's GC independent is exactly
-        what lets many workers collect without a store-wide lock.
-        """
-        shards = self.shard_stores()
+        shards = self._shards()
         report = GCReport(path=str(self.path))
-        per_shard = None if max_bytes is None else max_bytes // max(1, len(shards))
-        for store in shards:
-            sub = store.gc(
-                max_bytes=per_shard,
-                keep_fingerprints=keep_fingerprints,
-                min_age_s=min_age_s,
-            )
-            report.entries_before += sub.entries_before
-            report.bytes_before += sub.bytes_before
-            report.entries_after += sub.entries_after
-            report.bytes_after += sub.bytes_after
-            report.evicted.extend(sub.evicted)
-            report.orphans.extend(sub.orphans)
+        budget = None if max_bytes is None else max_bytes // max(1, len(shards))
+        keep = None if keep_fingerprints is None else set(keep_fingerprints)
+        now = time.time()
+        for manifest in shards:
+            manifest.flush()
+            entries = manifest.entries()
+            report.entries_before += len(entries)
+            report.bytes_before += sum(e.size for e in entries.values())
+
+            if keep is not None:
+                for key, entry in list(entries.items()):
+                    known_foreign = (
+                        entry.fingerprint is not None and entry.fingerprint not in keep
+                    )
+                    if known_foreign and self._drop(manifest, key):
+                        report.orphans.append(key)
+                        del entries[key]
+
+            if budget is not None:
+                total = sum(e.size for e in entries.values())
+                by_lru = sorted(
+                    entries.values(), key=lambda e: (e.last_hit, e.created, e.key)
+                )
+                for entry in by_lru:
+                    if total <= budget:
+                        break
+                    if now - entry.created < min_age_s:
+                        continue
+                    if self._drop(manifest, entry.key):
+                        report.evicted.append(entry.key)
+                        total -= entry.size
+
+            remaining = manifest.rewrite()
+            report.entries_after += len(remaining)
+            report.bytes_after += sum(e.size for e in remaining.values())
         return report
 
-    def verify(self, *, migrate=None) -> VerifyReport:
+    def _drop(self, manifest: StoreManifest, key: str) -> bool:
+        try:
+            self._file(key).unlink(missing_ok=True)
+        except OSError:
+            return False
+        manifest.forget(key)
+        return True
+
+    def verify(self) -> VerifyReport:
+        """Decode every entry; drop (and report) the ones that fail."""
         report = VerifyReport(path=str(self.path))
-        for store in self.shard_stores():
-            sub = store.verify(migrate=migrate)
-            report.ok += sub.ok
-            report.corrupt.extend(sub.corrupt)
-            report.migrated.extend(sub.migrated)
+        for manifest in self._shards():
+            for file in sorted(manifest.path.glob(f"*{self.suffix}")):
+                if not _is_key(file.stem):
+                    continue
+                try:
+                    data = file.read_bytes()
+                except OSError:  # vanished under a concurrent clear/gc
+                    continue
+                try:
+                    self._decode(data)
+                except Exception:
+                    try:
+                        file.unlink(missing_ok=True)
+                    except OSError:
+                        pass
+                    manifest.forget(file.stem)
+                    report.corrupt.append(file.stem)
+                    continue
+                report.ok += 1
+            manifest.rewrite()
         return report
 
 
 def _encode_result_bytes(result: ProgramResult) -> bytes:
-    """Current (v2) layout: a versioned envelope around the stat fields."""
+    """A versioned envelope around the stat fields."""
     envelope = {
         "schema": RESULT_SCHEMA_VERSION,
         "fingerprint": code_fingerprint(),
@@ -609,74 +486,33 @@ def _encode_result_bytes(result: ProgramResult) -> bytes:
 
 def _decode_result_bytes(data: bytes) -> ProgramResult:
     payload = json.loads(data.decode())
-    if isinstance(payload, dict) and "schema" in payload:
-        if payload["schema"] != RESULT_SCHEMA_VERSION:
-            raise ValueError(
-                f"result entry has schema {payload['schema']!r}, "
-                f"this code reads {RESULT_SCHEMA_VERSION}"
-            )
-        decoded = decode_result(payload["result"])
-    else:
-        # Legacy (v1) entry: the bare encode_result payload, un-versioned.
-        # Still decodable — verify/migrate rewrites it into the envelope.
-        decoded = decode_result(payload)
+    if not isinstance(payload, dict) or "schema" not in payload:
+        raise ValueError("result entry has no schema envelope")
+    if payload["schema"] != RESULT_SCHEMA_VERSION:
+        raise ValueError(
+            f"result entry has schema {payload['schema']!r}, "
+            f"this code reads {RESULT_SCHEMA_VERSION}"
+        )
+    decoded = decode_result(payload["result"])
     if not isinstance(decoded, ProgramResult):
         raise ValueError("result entry does not decode to a ProgramResult")
     return decoded
 
 
-def _migrate_result_bytes(data: bytes) -> bytes | None:
-    """Verify hook: rewrap a legacy (v1) entry in the current envelope.
-
-    The payload is preserved as-is (verify decode-validated it first);
-    the envelope's fingerprint stays null — the original writer's
-    identity is unknown, only provably *not current*.
-    """
-    payload = json.loads(data.decode())
-    if isinstance(payload, dict) and "schema" in payload:
-        return None  # already enveloped
-    envelope = {
-        "schema": RESULT_SCHEMA_VERSION,
-        "fingerprint": None,
-        "result": payload,
-    }
-    return json.dumps(envelope, sort_keys=True).encode()
-
-
 class ResultCache:
-    """In-memory result cache with an optional on-disk JSON store.
+    """In-memory result cache with an optional on-disk JSON store."""
 
-    ``shard_width=None`` (the default) auto-detects: a directory that
-    already contains hex-prefix shard subdirectories opens sharded, any
-    other opens flat.  ``shard_width=0`` forces flat; 1 or 2 force (or
-    create) a sharded layout — the sweep service's many-writer mode.
-    """
-
-    def __init__(
-        self, path: str | Path | None = None, *, shard_width: int | None = None
-    ) -> None:
+    def __init__(self, path: str | Path | None = None) -> None:
         self._memory: dict[str, ProgramResult] = {}
         self.path = Path(path) if path is not None else None
-        if path is None:
-            self._store = None
-        else:
-            if shard_width is None:
-                shard_width = detect_shard_width(path) or 0
-            if shard_width:
-                self._store = ShardedKeyedFileStore(
-                    path,
-                    ".json",
-                    _encode_result_bytes,
-                    _decode_result_bytes,
-                    width=shard_width,
-                )
-            else:
-                self._store = KeyedFileStore(
-                    path, ".json", _encode_result_bytes, _decode_result_bytes
-                )
+        self._store = (
+            KeyedFileStore(path, ".json", _encode_result_bytes, _decode_result_bytes)
+            if path is not None
+            else None
+        )
 
     @property
-    def store(self) -> KeyedFileStore | ShardedKeyedFileStore | None:
+    def store(self) -> KeyedFileStore | None:
         return self._store
 
     def get(self, key: str) -> ProgramResult | None:
@@ -721,7 +557,7 @@ class ResultCache:
         return self._store.gc(**kwargs)
 
     def verify(self) -> VerifyReport:
-        """Decode-check every disk entry, migrating legacy layouts."""
+        """Decode-check every disk entry, dropping the corrupt."""
         if self._store is None:
             return VerifyReport()
-        return self._store.verify(migrate=_migrate_result_bytes)
+        return self._store.verify()

@@ -148,7 +148,7 @@ class CompiledLoopCache:
 
     Mirrors :class:`~repro.pipeline.cache.ResultCache`'s layout (via the
     shared :class:`~repro.pipeline.cache.KeyedFileStore`): memory first,
-    one ``<key>.pkl`` file per full artifact under ``path``, atomic
+    one ``<key[0]>/<key>.pkl`` file per full artifact under ``path``, atomic
     per-process tmp writes, and a torn/corrupt/vanished entry is a
     miss, never a crash.  Frontend artifacts stay in-memory only —
     their value is intra-sweep sharing, and they are cheap relative to
@@ -210,7 +210,7 @@ class CompiledLoopCache:
     def flush(self) -> None:
         """Persist any buffered manifest updates (recency hits)."""
         if self._store is not None:
-            self._store.manifest.flush()
+            self._store.flush()
 
     def gc(self, **kwargs) -> GCReport:
         if self._store is None:

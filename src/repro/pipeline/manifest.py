@@ -1,11 +1,11 @@
-"""Sidecar manifest for :class:`~repro.pipeline.cache.KeyedFileStore` dirs.
+"""Sidecar manifest for :class:`~repro.pipeline.cache.KeyedFileStore` shards.
 
-Both on-disk caches (results and compile artifacts) are directories of
-``<sha256><suffix>`` files.  The content hash is perfect for lookups and
-useless for humans and for garbage collection: nothing in the directory
-says *what* an entry is, *when* it was last useful, or *which* code
-version produced it.  The manifest fills that gap: one ``manifest.json``
-per store directory mapping every key to a
+Every on-disk cache (results, compile artifacts, fuzz jobs) is a store of
+``<sha256><suffix>`` files, sharded by key prefix.  The content hash is
+perfect for lookups and useless for humans and for garbage collection:
+nothing in the directory says *what* an entry is, *when* it was last
+useful, or *which* code version produced it.  The manifest fills that
+gap: one ``manifest.json`` per shard directory mapping every key to a
 :class:`ManifestEntry` — a human-readable description of the inputs
 (benchmark/loop, config, options, scheduler), the entry's size, its
 creation time, its last-hit time (the LRU signal) and the code
@@ -15,10 +15,10 @@ Concurrency contract (mirrors the store itself — multiple processes may
 share one directory):
 
 * Updates are buffered in-process and flushed by **read-merge-write**
-  under an atomic rename, so a flush never tears the file and never
-  drops another process's freshly recorded entries.  Two simultaneous
-  flushes may lose one side's *recency* updates — recency is a hint,
-  not a ledger — but never corrupt the manifest.
+  under an atomic rename, so a flush never tears the file.  The
+  read-merge-write holds an exclusive ``flock`` on the directory's
+  ``.manifest.lock``, so simultaneous flushes from several processes
+  serialize instead of overwriting each other's freshly recorded rows.
 * The manifest is **advisory**: the directory is the source of truth.
   A corrupt, missing or stale manifest is rebuilt from a directory
   scan (sizes and times from ``stat``; descriptions and fingerprints
@@ -28,8 +28,10 @@ share one directory):
 
 from __future__ import annotations
 
-import atexit
+import contextlib
+import fcntl
 import json
+import multiprocessing.util
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -38,15 +40,12 @@ from pathlib import Path
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
 
-#: Sentinel fingerprint for entries rewritten from a pre-manifest
-#: layout by ``verify``: provably *not* authored by the current code
-#: (their bytes predate the envelope), so — unlike entries whose
-#: authorship is merely unknown — the orphan sweep may reclaim them.
-LEGACY_FINGERPRINT = "pre-manifest"
+#: Lock file serializing the manifest's read-merge-write across processes.
+LOCK_NAME = ".manifest.lock"
 
 #: Updates (new entries and recency hits alike) are buffered and folded
 #: in every N operations — plus at every gc/verify/clear coordination
-#: point, on explicit ``flush()``, and at interpreter exit — so a hot
+#: point, on explicit ``flush()``, and at process exit — so a hot
 #: save/read path does not rewrite the manifest per entry.  Updates
 #: lost to a hard kill cost only metadata: ``entries()`` re-adopts the
 #: files from a directory scan.
@@ -61,8 +60,8 @@ class ManifestEntry:
     size: int = 0
     created: float = 0.0
     last_hit: float = 0.0
-    #: ``repro`` code fingerprint of the writer (None == unknown, e.g.
-    #: the entry predates the manifest or was recovered by a dir scan).
+    #: ``repro`` code fingerprint of the writer (None == unknown: the
+    #: row was recovered by a directory scan).
     fingerprint: str | None = None
     #: Human-readable inputs: benchmark/loop, config, options, scheduler.
     description: dict | None = None
@@ -123,8 +122,6 @@ class VerifyReport:
     ok: int = 0
     #: keys whose file failed to decode and was dropped
     corrupt: list[str] = field(default_factory=list)
-    #: keys rewritten from a legacy layout to the current schema
-    migrated: list[str] = field(default_factory=list)
 
 
 def _is_key(stem: str) -> bool:
@@ -133,11 +130,11 @@ def _is_key(stem: str) -> bool:
 
 
 class StoreManifest:
-    """The ``manifest.json`` of one store directory.
+    """The ``manifest.json`` of one shard directory.
 
-    One instance per :class:`KeyedFileStore`; other processes sharing
-    the directory hold their own instances and reconcile through the
-    read-merge-write flush.
+    One instance per shard of a :class:`KeyedFileStore`; other processes
+    sharing the directory hold their own instances and reconcile through
+    the locked read-merge-write flush.
     """
 
     def __init__(self, path: str | Path, suffix: str) -> None:
@@ -156,9 +153,10 @@ class StoreManifest:
     def _note_pending(self) -> None:
         """Count a buffered update; fold in every FLUSH_EVERY-th one."""
         if not self._exit_hook_installed:
-            # Pool workers and CLIs that never reach an explicit
-            # teardown still persist their buffered rows on clean exit.
-            atexit.register(self.flush)
+            # Persist buffered rows on clean exit.  A multiprocessing
+            # finalizer rather than ``atexit``: pool workers leave via
+            # ``os._exit``, which skips ``atexit`` but runs these.
+            multiprocessing.util.Finalize(None, self.flush, exitpriority=0)
             self._exit_hook_installed = True
         self._unflushed_ops += 1
         if self._unflushed_ops >= FLUSH_EVERY:
@@ -310,39 +308,60 @@ class StoreManifest:
             except OSError:
                 pass
 
-    def flush(self) -> None:
-        """Fold pending updates into the file (read-merge-write)."""
-        if not (self._dirty or self._touches or self._forgotten):
+    @contextlib.contextmanager
+    def _locked(self):
+        """Hold the directory's exclusive manifest lock.
+
+        Best-effort like the write it guards: if the lock file cannot be
+        opened (the directory vanished or is read-only), proceed
+        unlocked — the write then fails soft on its own.
+        """
+        try:
+            fd = os.open(self.path / LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644)
+        except OSError:
+            yield
             return
-        self._write(self._merged())
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)  # releases the lock
+
+    def _clear_pending(self) -> None:
         self._dirty.clear()
         self._touches.clear()
         self._forgotten.clear()
         self._unflushed_ops = 0
 
-    def rewrite(self) -> None:
-        """Replace the manifest with the reconciled directory view.
+    def flush(self) -> None:
+        """Fold pending updates into the file (locked read-merge-write)."""
+        if not (self._dirty or self._touches or self._forgotten):
+            return
+        with self._locked():
+            self._write(self._merged())
+        self._clear_pending()
+
+    def rewrite(self) -> dict[str, ManifestEntry]:
+        """Replace the manifest with the reconciled directory view and
+        return that view.
 
         Unlike :meth:`flush` this *drops* rows for vanished files; gc
         and verify call it so the manifest never accretes stale keys.
         """
-        entries = self.entries()
-        self._write(entries)
-        self._dirty.clear()
-        self._touches.clear()
-        self._forgotten.clear()
-        self._unflushed_ops = 0
+        with self._locked():
+            entries = self.entries()
+            self._write(entries)
+        self._clear_pending()
+        return entries
 
     def reset(self) -> None:
         """Forget everything (the store was cleared)."""
-        self._dirty.clear()
-        self._touches.clear()
-        self._forgotten.clear()
-        self._unflushed_ops = 0
-        try:
-            self.file.unlink(missing_ok=True)
-        except OSError:
-            pass
+        self._clear_pending()
+        with self._locked():
+            try:
+                self.file.unlink(missing_ok=True)
+            except OSError:
+                pass
         for tmp in self.path.glob(".manifest.*.tmp"):
             try:
                 tmp.unlink(missing_ok=True)

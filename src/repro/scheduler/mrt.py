@@ -60,9 +60,6 @@ class ModuloReservationTable:
     def fu_remove(self, cycle: int, fu_class: FUClass, cluster: int) -> None:
         self.remove(cycle, self._resources.fu_resource(fu_class, cluster))
 
-    def fu_used(self, cycle: int, fu_class: FUClass, cluster: int) -> int:
-        return self.used(cycle, self._resources.fu_resource(fu_class, cluster))
-
     def bus_can_place(self, cycle: int) -> bool:
         return self.can_place(cycle, BUS)
 

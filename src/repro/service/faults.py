@@ -112,5 +112,4 @@ def truncate_entry(store, key: str, blob: bytes) -> None:
     exactly the corruption the store's corrupt-entry-is-a-miss contract
     must absorb.
     """
-    shard = store._shard(key, create=True) if hasattr(store, "_shard") else store
-    shard._file(key).write_bytes(blob[: max(1, len(blob) // 2)])
+    store._file(key).write_bytes(blob[: max(1, len(blob) // 2)])

@@ -9,11 +9,10 @@
   (checked first), N clients sweeping overlapping grids perform each
   simulation exactly once — the drill asserts
   ``duplicate_simulations == 0``.
-* **Worker-side persistence** — jobs carry a ``(dir, shard_width)``
-  store spec; each worker writes its result into the sharded store
-  itself (per-shard manifests keep the writers from contending), and
-  the server caches the returned value memory-only so the entry is
-  never written twice.
+* **Worker-side persistence** — jobs carry the store directory; each
+  worker writes its result into the sharded store itself (per-shard
+  manifests keep the writers from contending), and the server caches
+  the returned value memory-only so the entry is never written twice.
 * **Degradation ladder** — when a job exhausts its retries the service
   may swap in a cheaper configuration instead of dead-lettering:
   ``exact``-scheduled jobs that blew their deadline retry under SMS
@@ -53,45 +52,38 @@ from .supervisor import Supervisor
 # ----------------------------------------------------------------------
 
 #: Per-worker-process cache of opened result stores, keyed by store
-#: spec — one store (and one manifest buffer) per worker, not per job.
-_WORKER_STORES: dict[tuple, ResultCache] = {}
+#: directory — one store (and one manifest buffer) per worker, not per job.
+_WORKER_STORES: dict[str, ResultCache] = {}
 
 
-def _worker_store(spec: tuple) -> ResultCache:
-    cache = _WORKER_STORES.get(spec)
+def _worker_store(store_dir: str) -> ResultCache:
+    cache = _WORKER_STORES.get(store_dir)
     if cache is None:
-        path, width = spec
-        cache = ResultCache(path, shard_width=width)
-        _WORKER_STORES[spec] = cache
+        cache = ResultCache(store_dir)
+        _WORKER_STORES[store_dir] = cache
     return cache
 
 
 def _service_runner(payload, fault):
     """Execute one sweep job inside a worker: simulate, persist, return.
 
-    ``payload`` is ``(store_key, request, store_spec, meta)``.  The
+    ``payload`` is ``(store_key, request, store_dir, meta)``.  The
     result is stored under ``store_key`` — the *original* content key,
     which differs from ``request.key`` after a degradation rewrote the
     request.  A ``truncate`` fault tears the store write after the
     install (the returned in-memory value stays good; only later
     readers see the corruption, which is the point).
     """
-    store_key, request, store_spec, meta = payload
+    store_key, request, store_dir, meta = payload
     result = execute_request(request)
     if meta:
         result.meta.update(meta)
-    if store_spec is not None:
-        cache = _worker_store(store_spec)
-        store = cache.store
+    if store_dir is not None:
+        store = _worker_store(store_dir).store
         store.save(store_key, result, description=describe_request(request))
         store.flush()
         if fault is not None and fault.kind == "truncate":
-            shard = (
-                store._shard(store_key, create=True)
-                if hasattr(store, "_shard")
-                else store
-            )
-            blob = shard._file(store_key).read_bytes()
+            blob = store._file(store_key).read_bytes()
             truncate_entry(store, store_key, blob)
     return result
 
@@ -117,7 +109,7 @@ def degrade_request(payload, failure: JobFailure, applied: tuple[str, ...]):
     * job *errored* on the fast-path executor -> retry on the reference
       interpreter (isolates fast-path bugs): ``fast->reference``.
     """
-    store_key, request, store_spec, meta = payload
+    store_key, request, store_dir, meta = payload
     options = request.options
 
     def rewrite(new_options: SimOptions, label: str):
@@ -125,7 +117,7 @@ def degrade_request(payload, failure: JobFailure, applied: tuple[str, ...]):
         new_meta["degraded"] = label
         new_meta["degraded_after"] = failure.kind
         new_request = replace(request, options=new_options)
-        return (store_key, new_request, store_spec, new_meta), label
+        return (store_key, new_request, store_dir, new_meta), label
 
     if (
         failure.kind in ("timeout", "hung")
@@ -227,10 +219,10 @@ class SweepReport:
 class SweepService:
     """Async sweep server: cache-first, coalescing, supervised workers.
 
-    ``store_dir``/``shard_width`` configure the worker-written sharded
-    result store (None = memory-only).  ``checkpoint_path`` enables the
-    resume journal.  ``degrade=False`` disables the ladder (the chaos
-    drill runs with it off so fault recovery stays byte-identical).
+    ``store_dir`` is the worker-written sharded result store (None =
+    memory-only).  ``checkpoint_path`` enables the resume journal.
+    ``degrade=False`` disables the ladder (the chaos drill runs with it
+    off so fault recovery stays byte-identical).
     ``exit_after`` hard-kills the *server process* (``os._exit``) after
     that many completions — the drill's mid-sweep crash lever.
     """
@@ -239,7 +231,6 @@ class SweepService:
         self,
         *,
         store_dir: str | Path | None = None,
-        shard_width: int = 1,
         workers: int = 2,
         policy: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
@@ -248,12 +239,8 @@ class SweepService:
         exit_after: int | None = None,
         poll_interval_s: float = 0.01,
     ) -> None:
-        self._store_spec = (
-            None if store_dir is None else (str(store_dir), shard_width)
-        )
-        self.cache = ResultCache(
-            store_dir, shard_width=shard_width if store_dir is not None else None
-        )
+        self._store_dir = None if store_dir is None else str(store_dir)
+        self.cache = ResultCache(store_dir)
         self.checkpoint: SweepCheckpoint | None = None
         if checkpoint_path is not None:
             self.checkpoint = SweepCheckpoint.load(checkpoint_path) or SweepCheckpoint(
@@ -304,7 +291,7 @@ class SweepService:
 
     async def _run_job(self, request: RunRequest) -> object:
         key = request.key
-        payload = (key, request, self._store_spec, {})
+        payload = (key, request, self._store_dir, {})
         future = self.supervisor.submit(key, payload, describe_request(request))
         try:
             return await future

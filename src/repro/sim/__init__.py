@@ -12,7 +12,7 @@ from .runner import (
     LoopPlan,
     SimOptions,
     SimulatedLoop,
-    make_executor,
+    make_loop_executor,
     make_memory,
     plan_program,
     run_loop,
@@ -37,7 +37,7 @@ __all__ = [
     "flush_needed_since",
     "invocation_flush_needed",
     "loops_may_conflict",
-    "make_executor",
+    "make_loop_executor",
     "make_memory",
     "merge_stats",
     "plan_program",

@@ -129,7 +129,7 @@ def _fast_mode(options: SimOptions) -> tuple[bool, bool]:
     return options.fast_sim, options.fast_convergence
 
 
-def make_executor(
+def make_loop_executor(
     compiled: CompiledLoop,
     memory,
     layout: MemoryLayout,
@@ -206,7 +206,7 @@ def run_loop(
     memory clock.
     """
     options = options or SimOptions()
-    executor = make_executor(compiled, memory, layout, options)
+    executor = make_loop_executor(compiled, memory, layout, options)
     trip = compiled.loop.trip_count
     l0_arch = compiled.schedule.config.arch is ArchKind.L0
 

@@ -1,7 +1,9 @@
 """Tests for the managed artifact store: manifest, GC, schema, CLI."""
 
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -18,12 +20,11 @@ from repro.pipeline import (
     Session,
     compile_cached,
     compile_key,
-    encode_result,
     result_fingerprint,
     result_schema_digest,
 )
 from repro.pipeline.cache import RESULT_SCHEMA_DIGEST, code_fingerprint
-from repro.pipeline.manifest import LEGACY_FINGERPRINT, MANIFEST_NAME
+from repro.pipeline.manifest import MANIFEST_NAME
 from repro.sim import SimOptions
 from repro.workloads.kernels import make_dpcm, make_saxpy
 
@@ -40,7 +41,27 @@ def _json_store(path) -> KeyedFileStore:
 
 
 def _key(i: int) -> str:
-    return f"{i:064x}"
+    return f"{i:064x}"  # every _key lands in shard "0"
+
+
+def _path(root, key: str, suffix: str = ".json"):
+    """Where a store rooted at ``root`` keeps ``key``: its shard dir."""
+    return root / key[0] / f"{key}{suffix}"
+
+
+def _save_unflushed(path, keys: list[str]) -> None:
+    """A pool worker's job: save, then return without flushing."""
+    store = _json_store(path)
+    for key in keys:
+        store.save(key, {"k": key[0]})
+
+
+def _write_keys(path, start: int, count: int) -> None:
+    """One writer process: save and flush per entry, like a sweep worker."""
+    store = _json_store(path)
+    for i in range(start, start + count):
+        store.save(_key(i), {"i": i}, description={"i": i})
+        store.flush()
 
 
 class TestManifest:
@@ -48,7 +69,7 @@ class TestManifest:
         store = _json_store(tmp_path)
         desc = {"benchmark": "g721dec", "config": {"arch": "l0"}}
         store.save(_key(1), {"x": 1}, description=desc)
-        store.manifest.flush()  # records are buffered; fold them in
+        store.flush()  # records are buffered; fold them in
 
         reopened = _json_store(tmp_path)
         entries = reopened.entries()
@@ -56,23 +77,23 @@ class TestManifest:
         entry = entries[_key(1)]
         assert entry.description == desc
         assert entry.fingerprint == code_fingerprint()
-        assert entry.size == (tmp_path / f"{_key(1)}.json").stat().st_size
+        assert entry.size == _path(tmp_path, _key(1)).stat().st_size
         assert entry.created > 0 and entry.last_hit >= entry.created
 
     def test_load_updates_recency(self, tmp_path):
         store = _json_store(tmp_path)
         store.save(_key(1), {"x": 1})
         # Backdate the entry, then hit it: last_hit must move forward.
-        store.manifest.record(_key(1), size=8, now=100.0)
+        store.shard_manifest(_key(1)).record(_key(1), size=8, now=100.0)
         assert store.load(_key(1)) == {"x": 1}
-        store.manifest.flush()
+        store.flush()
         assert _json_store(tmp_path).entries()[_key(1)].last_hit > 100.0
 
     def test_corrupt_manifest_rebuilt_from_dir_scan(self, tmp_path):
         store = _json_store(tmp_path)
         for i in range(3):
             store.save(_key(i), {"i": i})
-        (tmp_path / MANIFEST_NAME).write_text("{torn")
+        (tmp_path / "0" / MANIFEST_NAME).write_text("{torn")
 
         reopened = _json_store(tmp_path)
         entries = reopened.entries()
@@ -92,7 +113,7 @@ class TestManifest:
         store = _json_store(tmp_path)
         for i in range(3):
             store.save(_key(i), {"i": i})
-        (tmp_path / MANIFEST_NAME).write_bytes(b"[" * 100_000)
+        (tmp_path / "0" / MANIFEST_NAME).write_bytes(b"[" * 100_000)
 
         reopened = _json_store(tmp_path)
         report = reopened.gc(max_bytes=0, min_age_s=0.0)  # must not raise
@@ -104,20 +125,56 @@ class TestManifest:
     def test_concurrent_writer_entries_survive_a_flush(self, tmp_path):
         ours, theirs = _json_store(tmp_path), _json_store(tmp_path)
         theirs.save(_key(2), {"who": "them"})
-        theirs.manifest.flush()
+        theirs.flush()
         # Our flush read-merge-writes: their freshly recorded entry must
         # survive even though our in-process view never saw it.
         ours.save(_key(1), {"who": "us"})
-        ours.manifest.flush()
+        ours.flush()
         entries = _json_store(tmp_path).entries()
         assert entries[_key(2)].fingerprint == code_fingerprint()
         assert entries[_key(1)].fingerprint == code_fingerprint()
+
+    def test_pool_worker_rows_survive_worker_exit(self, tmp_path):
+        """A pool worker never flushes explicitly and leaves through
+        ``os._exit``: its buffered rows must still reach the manifest."""
+        keys = [f"{i:x}" * 64 for i in range(3)]  # three shards
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(1, mp_context=fork) as pool:
+            pool.submit(_save_unflushed, tmp_path, keys).result()
+        entries = _json_store(tmp_path).entries()
+        assert sorted(entries) == keys
+        assert {e.fingerprint for e in entries.values()} == {code_fingerprint()}
+
+    def test_concurrent_flushes_keep_every_row(self, tmp_path):
+        """Two processes flushing one shard's manifest at the same time
+        must not drop each other's rows: a row that loses its
+        fingerprint can never be reclaimed by the orphan sweep."""
+        count = 150
+        fork = multiprocessing.get_context("fork")
+        writers = [
+            fork.Process(target=_write_keys, args=(tmp_path, start, count))
+            for start in (0, 10_000)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+            assert writer.exitcode == 0
+        entries = _json_store(tmp_path).entries()
+        assert len(entries) == 2 * count
+        lost = [
+            key
+            for key, entry in entries.items()
+            if entry.fingerprint != code_fingerprint()
+            or entry.description != {"i": int(key, 16)}
+        ]
+        assert lost == []
 
     def test_clear_resets_manifest(self, tmp_path):
         store = _json_store(tmp_path)
         store.save(_key(1), {"x": 1})
         store.clear()
-        assert not (tmp_path / MANIFEST_NAME).exists()
+        assert not (tmp_path / "0" / MANIFEST_NAME).exists()
         assert _json_store(tmp_path).entries() == {}
 
 
@@ -127,23 +184,27 @@ class TestGC:
         sizes = {}
         for i in range(4):
             store.save(_key(i), {"payload": "x" * 50})
-            sizes[_key(i)] = (tmp_path / f"{_key(i)}.json").stat().st_size
+            sizes[_key(i)] = _path(tmp_path, _key(i)).stat().st_size
             # Deterministic recency: key 0 coldest ... key 3 hottest.
-            store.manifest.record(_key(i), size=sizes[_key(i)], now=100.0 + i)
+            store.shard_manifest(_key(i)).record(
+                _key(i), size=sizes[_key(i)], now=100.0 + i
+            )
         cap = sizes[_key(2)] + sizes[_key(3)]
         report = store.gc(max_bytes=cap, min_age_s=0.0)
         assert report.evicted == [_key(0), _key(1)]
         assert set(store.entries()) == {_key(2), _key(3)}
         assert report.bytes_after <= cap
         # The manifest file was pruned along with the directory.
-        data = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        data = json.loads((tmp_path / "0" / MANIFEST_NAME).read_text())
         assert set(data["entries"]) == {_key(2), _key(3)}
 
     def test_orphan_sweep_by_fingerprint(self, tmp_path):
         store = _json_store(tmp_path)
         store.save(_key(1), {"v": 1})  # current fingerprint
         store.save(_key(2), {"v": 2})
-        store.manifest.record(_key(2), size=8, fingerprint="dead0000dead0000")
+        store.shard_manifest(_key(2)).record(
+            _key(2), size=8, fingerprint="dead0000dead0000"
+        )
         report = store.gc(keep_fingerprints={code_fingerprint()})
         assert report.orphans == [_key(2)]
         assert set(store.entries()) == {_key(1)}
@@ -153,8 +214,8 @@ class TestGC:
         be conservative (only the size cap may reclaim those entries)."""
         store = _json_store(tmp_path)
         store.save(_key(1), {"v": 1})
-        store.manifest.flush()
-        (tmp_path / MANIFEST_NAME).unlink()
+        store.flush()
+        (tmp_path / "0" / MANIFEST_NAME).unlink()
         reopened = _json_store(tmp_path)
         report = reopened.gc(keep_fingerprints={code_fingerprint()})
         assert report.orphans == []
@@ -165,14 +226,14 @@ class TestGC:
         atomic rename must land afterwards."""
         store = _json_store(tmp_path)
         store.save(_key(1), {"v": 1})
-        tmp = tmp_path / f".{_key(2)}.{os.getpid()}.tmp"
+        tmp = tmp_path / "0" / f".{_key(2)}.{os.getpid()}.tmp"
         tmp.write_bytes(json.dumps({"v": 2}).encode())  # mid-write
 
         report = store.gc(max_bytes=0, min_age_s=0.0)
         assert report.entries_after == 0
         assert tmp.exists()  # the in-flight write was spared
 
-        tmp.replace(tmp_path / f"{_key(2)}.json")  # writer finishes
+        tmp.replace(_path(tmp_path, _key(2)))  # writer finishes
         assert _json_store(tmp_path).load(_key(2)) == {"v": 2}
 
     def test_min_age_grace_period(self, tmp_path):
@@ -185,58 +246,41 @@ class TestGC:
     def test_verify_drops_corrupt_entries(self, tmp_path):
         store = _json_store(tmp_path)
         store.save(_key(1), {"v": 1})
-        (tmp_path / f"{_key(2)}.json").write_text("{torn")
+        _path(tmp_path, _key(2)).write_text("{torn")
         report = store.verify()
         assert report.ok == 1
         assert report.corrupt == [_key(2)]
-        assert not (tmp_path / f"{_key(2)}.json").exists()
+        assert not _path(tmp_path, _key(2)).exists()
 
 
 class TestResultSchema:
     def test_entries_written_in_versioned_envelope(self, tmp_path):
         request = RunRequest("g721dec", l0_config(8), FAST)
         Session(options=FAST, cache=ResultCache(tmp_path)).run(request)
-        envelope = json.loads((tmp_path / f"{request.key}.json").read_text())
+        envelope = json.loads(_path(tmp_path, request.key).read_text())
         assert envelope["schema"] == RESULT_SCHEMA_VERSION
         assert envelope["fingerprint"] == code_fingerprint()
         assert envelope["result"]["__type__"] == "ProgramResult"
 
-    def test_legacy_entry_decodes_and_migrates(self, tmp_path):
-        request = RunRequest("g721dec", l0_config(8), FAST)
-        session = Session(options=FAST, cache=ResultCache(tmp_path))
-        fresh = session.run(request)
-        # Rewrite the entry in the legacy (v1) bare layout.
-        (tmp_path / f"{request.key}.json").write_text(json.dumps(encode_result(fresh)))
-        cache = ResultCache(tmp_path)
-        decoded = cache.get(request.key)
-        assert result_fingerprint(decoded) == result_fingerprint(fresh)
-        # verify() migrates the dir into the current envelope in place.
-        report = cache.verify()
-        assert report.migrated == [request.key]
-        envelope = json.loads((tmp_path / f"{request.key}.json").read_text())
-        assert envelope["schema"] == RESULT_SCHEMA_VERSION
-        assert envelope["fingerprint"] is None  # original writer unknown
-        migrated = ResultCache(tmp_path).get(request.key)
-        assert result_fingerprint(migrated) == result_fingerprint(fresh)
-        # A second verify has nothing left to do.
-        assert ResultCache(tmp_path).verify().migrated == []
-        # Migrated entries are marked provably-not-current, so the
-        # orphan sweep may reclaim the dead data.
-        entry = ResultCache(tmp_path).store.entries()[request.key]
-        assert entry.fingerprint == LEGACY_FINGERPRINT
-        swept = ResultCache(tmp_path).gc(keep_fingerprints={code_fingerprint()})
-        assert swept.orphans == [request.key]
-
     def test_foreign_schema_version_is_a_miss(self, tmp_path):
+        """An entry of another schema — a newer envelope, or the bare
+        pre-envelope (v1) payload — is never served: the run simulates
+        again, and ``verify`` counts the entry as corrupt."""
         request = RunRequest("g721dec", unified_config(), FAST)
-        session = Session(options=FAST, cache=ResultCache(tmp_path))
-        session.run(request)
-        envelope = json.loads((tmp_path / f"{request.key}.json").read_text())
-        envelope["schema"] = RESULT_SCHEMA_VERSION + 1
-        (tmp_path / f"{request.key}.json").write_text(json.dumps(envelope))
-        reopened = Session(options=FAST, cache=ResultCache(tmp_path))
-        reopened.run(request)
-        assert reopened.simulations == 1  # mismatched entry not served
+        Session(options=FAST, cache=ResultCache(tmp_path)).run(request)
+        entry_file = _path(tmp_path, request.key)
+        envelope = json.loads(entry_file.read_text())
+        foreign = {**envelope, "schema": RESULT_SCHEMA_VERSION + 1}
+        legacy_v1 = envelope["result"]
+        for stale in (foreign, legacy_v1):
+            entry_file.write_text(json.dumps(stale))
+            reopened = Session(options=FAST, cache=ResultCache(tmp_path))
+            reopened.run(request)
+            assert reopened.simulations == 1  # mismatched entry not served
+            entry_file.write_text(json.dumps(stale))
+            report = ResultCache(tmp_path).verify()
+            assert (report.ok, report.corrupt) == (0, [request.key])
+            assert not entry_file.exists()
 
     def test_schema_digest_pinned_to_version(self):
         """Changing any stat dataclass's fields without bumping
@@ -253,7 +297,7 @@ class TestCompileCacheDiskHits:
         warm = CompiledLoopCache(tmp_path)
         compile_cached(make_saxpy(), config, cache=warm)
         key = compile_key(make_saxpy(), config, CompileOptions())
-        warm.store.manifest.record(key, size=1, now=100.0)  # backdate
+        warm.store.shard_manifest(key).record(key, size=1, now=100.0)  # backdate
         warm.flush()
 
         reopened = CompiledLoopCache(tmp_path)
@@ -283,7 +327,7 @@ class TestSessionTeardown:
     def test_close_gc_bounds_the_store(self, tmp_path):
         session = Session(options=FAST, cache=ResultCache(tmp_path), gc_max_bytes=0)
         session.run(RunRequest("g721dec", unified_config(), FAST))
-        assert any(p.stem != "manifest" for p in tmp_path.glob("*.json"))
+        assert any(p.stem != "manifest" for p in tmp_path.rglob("*.json"))
         session.close()
         assert session.cache.store.entries() == {}
 
@@ -291,7 +335,7 @@ class TestSessionTeardown:
         request = RunRequest("g721dec", unified_config(), FAST)
         Session(options=FAST, cache=ResultCache(tmp_path)).run(request)
         cache = ResultCache(tmp_path)
-        cache.store.manifest.record(request.key, size=1, now=100.0)
+        cache.store.shard_manifest(request.key).record(request.key, size=1, now=100.0)
         with Session(options=FAST, cache=cache) as session:
             session.run(request)  # disk hit -> buffered touch
         entries = ResultCache(tmp_path).store.entries()
@@ -343,18 +387,29 @@ class TestCacheCLI:
         assert "edge:tiny" in out  # fuzz entry description
 
     def test_gc_bounds_all_dirs(self, dirs, capsys):
+        result_dir, compile_dir, fuzz_dir = dirs
+
+        def entry_files():
+            return [
+                p
+                for p in [
+                    *result_dir.rglob("*.json"),
+                    *compile_dir.rglob("*.pkl"),
+                    *fuzz_dir.rglob("*.json"),
+                ]
+                if p.name != MANIFEST_NAME
+            ]
+
+        assert len(entry_files()) >= 3  # one entry per store at least
         argv = self._argv(dirs, "gc", "--max-bytes", "0", "--min-age", "0")
         assert cache_main(argv) == 0
-        result_dir, compile_dir, fuzz_dir = dirs
-        leftovers = sorted(p.name for p in result_dir.glob("*.json"))
-        assert leftovers in ([], [MANIFEST_NAME])
-        assert not list(compile_dir.glob("*.pkl"))
-        fuzz_left = sorted(p.name for p in fuzz_dir.glob("*.json"))
-        assert fuzz_left in ([], [MANIFEST_NAME])
+        assert entry_files() == []
 
     def test_verify_exits_nonzero_on_corruption(self, dirs, capsys):
         result_dir = dirs[0]
-        (result_dir / f"{_key(9)}.json").write_text("{torn")
+        torn = _path(result_dir, _key(9))
+        torn.parent.mkdir(exist_ok=True)
+        torn.write_text("{torn")
         assert cache_main(self._argv(dirs, "verify")) == 1
         # The corrupt entry was dropped: a second pass is clean.
         assert cache_main(self._argv(dirs, "verify")) == 0

@@ -251,7 +251,9 @@ class TestSerialisationRoundTrip:
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         config = l0_config(8)
         key = compile_key(make_saxpy(), config, CompileOptions())
-        (tmp_path / f"{key}.pkl").write_bytes(b"torn write")
+        torn = tmp_path / key[0] / f"{key}.pkl"
+        torn.parent.mkdir()
+        torn.write_bytes(b"torn write")
         cache = CompiledLoopCache(tmp_path)
         compiled = compile_cached(make_saxpy(), config, cache=cache)
         assert cache.stats.compilations == 1  # recompiled, no crash
@@ -264,11 +266,13 @@ class TestSerialisationRoundTrip:
     def test_clear_touches_only_cache_entries(self, tmp_path):
         cache = CompiledLoopCache(tmp_path)
         compile_cached(make_saxpy(), l0_config(8), cache=cache)
-        user_file = tmp_path / "notes.pkl"
+        [entry] = tmp_path.rglob("*.pkl")
+        assert entry.parent == tmp_path / entry.stem[0]  # the key's shard
+        user_file = entry.parent / "notes.pkl"
         user_file.write_bytes(b"mine")
         cache.clear()
         assert user_file.exists()
-        assert not list(tmp_path.glob("[0-9a-f]" * 8 + "*.pkl"))
+        assert list(tmp_path.rglob("*.pkl")) == [user_file]
         reopened = CompiledLoopCache(tmp_path)
         compile_cached(make_saxpy(), l0_config(8), cache=reopened)
         assert reopened.stats.compilations == 1

@@ -316,7 +316,8 @@ def test_cache_cli_covers_the_fuzz_store(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 entries ok, 0 corrupt" in out
     # Corrupt the entry on disk: verify must drop it and exit non-zero.
-    [entry_file] = [p for p in store.glob("*.json") if p.name != "manifest.json"]
+    [entry_file] = [p for p in store.rglob("*.json") if p.name != "manifest.json"]
+    assert entry_file.parent == store / entry_file.stem[0]  # the key's shard
     entry_file.write_text("{not json")
     assert cache_main(argv + ["verify"]) == 1
     assert not entry_file.exists()

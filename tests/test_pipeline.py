@@ -146,15 +146,18 @@ class TestResultCacheRoundTrip:
         session = Session(options=FAST, cache=cache)
         request = session.request("g721dec", l0_config(8))
         session.run(request)
-        user_file = tmp_path / "user-data.json"
+        entry = tmp_path / request.key[0] / f"{request.key}.json"
+        assert entry.exists()
+        user_file = entry.parent / "user-data.json"
         user_file.write_text("{}")
-        orphan_tmp = tmp_path / f".{'ab' * 32}.999.tmp"
+        orphan_tmp = tmp_path / "a" / f".{'ab' * 32}.999.tmp"
+        orphan_tmp.parent.mkdir(exist_ok=True)
         orphan_tmp.write_text("half-written")
 
         cache.clear()
         assert user_file.exists()  # unrelated files are never touched
         assert not orphan_tmp.exists()
-        assert not (tmp_path / f"{request.key}.json").exists()
+        assert not entry.exists()
         assert ResultCache(tmp_path).get(request.key) is None
 
     def test_clear_tolerates_concurrently_removed_entries(self, tmp_path, monkeypatch):
@@ -162,7 +165,8 @@ class TestResultCacheRoundTrip:
         from pathlib import Path
 
         cache = ResultCache(tmp_path)
-        ghost = tmp_path / f"{'0' * 64}.json"  # matched but never created
+        ghost = tmp_path / "0" / f"{'0' * 64}.json"  # matched but never created
+        ghost.parent.mkdir()
         real_glob = Path.glob
 
         def racing_glob(self, pattern):
@@ -176,7 +180,9 @@ class TestResultCacheRoundTrip:
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         request = RunRequest("gsmdec", unified_config(), FAST)
-        (tmp_path / f"{request.key}.json").write_text("{torn write")
+        torn = tmp_path / request.key[0] / f"{request.key}.json"
+        torn.parent.mkdir()
+        torn.write_text("{torn write")
         session = Session(options=FAST, cache=ResultCache(tmp_path))
         result = session.run(request)
         assert session.simulations == 1  # re-simulated, no crash

@@ -15,13 +15,12 @@ import pytest
 
 from repro.machine import l0_config, unified_config
 from repro.pipeline import (
+    KeyedFileStore,
     RequestError,
     ResultCache,
     RunRequest,
     SerialExecutor,
     Session,
-    ShardedKeyedFileStore,
-    detect_shard_width,
 )
 from repro.service import (
     Fault,
@@ -285,10 +284,8 @@ def test_checkpoint_done_supersedes_dead(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def _blob_store(path, width=1):
-    return ShardedKeyedFileStore(
-        path, ".bin", lambda v: v, lambda b: b, width=width
-    )
+def _blob_store(path):
+    return KeyedFileStore(path, ".bin", lambda v: v, lambda b: b)
 
 
 KEY_A = "a" + "0" * 63
@@ -304,7 +301,7 @@ def test_sharded_store_places_entries_by_key_prefix(tmp_path):
     assert store.load(KEY_A) == b"alpha"
     assert set(store.entries()) == {KEY_A, KEY_B}
     assert store.total_bytes() == len(b"alpha") + len(b"beta")
-    assert detect_shard_width(tmp_path / "store") == 1
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["a", "b"]
 
 
 def test_sharded_store_reads_never_create_shard_dirs(tmp_path):
@@ -321,7 +318,6 @@ def test_sharded_store_verify_drops_torn_entries(tmp_path):
     store = _blob_store(tmp_path / "store")
     decoded_ok = b'{"good": true}'
     store._decode = lambda b: json.loads(b)  # corrupt = undecodable JSON
-    store._shards.clear()
     store.save(KEY_A, decoded_ok)
     store.save(KEY_B, b'{"also": "good"}')
     truncate_entry(store, KEY_B, b'{"also": "good"}')
@@ -331,17 +327,17 @@ def test_sharded_store_verify_drops_torn_entries(tmp_path):
     assert store.load(KEY_B) is None
 
 
-def test_result_cache_autodetects_sharded_layout(tmp_path):
+def test_result_cache_reopen_round_trips_entry(tmp_path):
     from repro.sim.stats import ProgramResult
 
-    sharded = ResultCache(tmp_path / "rc", shard_width=1)
+    cache = ResultCache(tmp_path / "rc")
     result = ProgramResult(
         benchmark="toy", arch="l0", meta={"degraded": "exact->sms"}
     )
     key = "d" * 64
-    sharded.put(key, result)
-    reopened = ResultCache(tmp_path / "rc")  # no width given: detected
-    assert isinstance(reopened.store, ShardedKeyedFileStore)
+    cache.put(key, result)
+    assert (tmp_path / "rc" / "d" / f"{key}.json").is_file()
+    reopened = ResultCache(tmp_path / "rc")  # a fresh process's view
     loaded = reopened.get(key)
     assert loaded == result
     assert loaded.meta == {"degraded": "exact->sms"}  # schema v4 round-trip
