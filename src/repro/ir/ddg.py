@@ -24,7 +24,7 @@ class DepKind(enum.Enum):
     MEM = "mem"  # memory ordering dependence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: int
     dst: int
@@ -70,6 +70,15 @@ class DDG:
     # Longest-path machinery (shared by MII, SMS and the scheduler)
     # ------------------------------------------------------------------
 
+    def _weighted_edges(
+        self, ii: int, load_latency: Mapping[int, int] | Callable[[int], int]
+    ) -> list[tuple[int, int, int]]:
+        """``(src, dst, latency - ii * distance)`` per edge, resolved once."""
+        return [
+            (e.src, e.dst, e.latency(load_latency) - ii * e.distance)
+            for e in self.edges
+        ]
+
     def earliest_times(
         self, ii: int, load_latency: Mapping[int, int] | Callable[[int], int]
     ) -> dict[int, int] | None:
@@ -80,14 +89,13 @@ class DDG:
         (``ii`` below RecMII).  Times are normalised to ``min == 0``.
         """
         times = {uid: 0 for uid in self.nodes}
+        weighted = self._weighted_edges(ii, load_latency)
         for _round in range(self.n_nodes + 1):
             changed = False
-            for edge in self.edges:
-                bound = (
-                    times[edge.src] + edge.latency(load_latency) - ii * edge.distance
-                )
-                if bound > times[edge.dst]:
-                    times[edge.dst] = bound
+            for src, dst, weight in weighted:
+                bound = times[src] + weight
+                if bound > times[dst]:
+                    times[dst] = bound
                     changed = True
             if not changed:
                 break
@@ -104,14 +112,13 @@ class DDG:
     ) -> dict[int, int] | None:
         """Latest start times such that every node finishes by ``horizon``."""
         times = {uid: horizon for uid in self.nodes}
+        weighted = self._weighted_edges(ii, load_latency)
         for _round in range(self.n_nodes + 1):
             changed = False
-            for edge in self.edges:
-                bound = (
-                    times[edge.dst] - edge.latency(load_latency) + ii * edge.distance
-                )
-                if bound < times[edge.src]:
-                    times[edge.src] = bound
+            for src, dst, weight in weighted:
+                bound = times[dst] - weight
+                if bound < times[src]:
+                    times[src] = bound
                     changed = True
             if not changed:
                 break

@@ -9,7 +9,7 @@ from .operations import FUClass, Opcode
 from .registers import VReg
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Instruction:
     """One operation in a loop body.
 

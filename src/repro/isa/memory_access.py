@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayRef:
     """A named array living in simulated memory.
 
@@ -53,7 +53,7 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessPattern:
     """The per-iteration address stream of one static memory instruction.
 

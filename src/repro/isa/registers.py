@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import count
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class VReg:
     """A virtual register, identified by an integer id.
 

@@ -19,7 +19,7 @@ from ..isa.instruction import Instruction
 from ..isa.operations import FUClass
 from ..ir.ddg import DDG, DepKind, Edge
 from ..machine.config import MachineConfig
-from ..machine.resources import BUS, ResourceModel
+from ..machine.resources import BUS_SLOT, ResourceModel
 from .mii import compute_mii
 from .mrt import ModuloReservationTable
 from .policies import MemoryPolicy
@@ -44,6 +44,11 @@ class ClusterScheduler:
         self.config = config
         self.policy = policy
         self.resources = ResourceModel(config)
+        #: Per uid: the MRT slot id of its FU class in each cluster, or
+        #: ``None`` for ops that take no issue slot.
+        self._fu_slots: dict[int, tuple[int, ...] | None] = {
+            instr.uid: self._slots_of(instr.fu_class) for instr in self.loop.body
+        }
 
         # Per-attempt state
         self._asap: dict[int, int] | None = None
@@ -54,6 +59,13 @@ class ClusterScheduler:
         self._comm_index: dict[tuple[int, int], PlacedComm] = {}
         self._cluster_ops: list[int] = []
         self._cluster_fu_ops: dict[tuple[int, FUClass], int] = {}
+
+    def _slots_of(self, fu_class: FUClass) -> tuple[int, ...] | None:
+        if fu_class is FUClass.NONE:
+            return None
+        return tuple(
+            self.resources.fu_slot(fu_class, c) for c in range(self.config.n_clusters)
+        )
 
     # ------------------------------------------------------------------
     # Top level
@@ -268,18 +280,18 @@ class ClusterScheduler:
         else:
             candidates = range(latest, earliest - 1, -1)
 
+        slots = self._fu_slots[instr.uid]
+        slot = None if slots is None else slots[cluster]
         for start in candidates:
-            if instr.fu_class is not FUClass.NONE and not self.mrt.fu_can_place(
-                start, instr.fu_class, cluster
-            ):
+            if slot is not None and not self.mrt.slot_can_place(start, slot):
                 continue
             plan = self._plan_comms(instr, cluster, start, latency, ii)
             if plan is None:
                 continue
-            if instr.fu_class is not FUClass.NONE:
-                self.mrt.fu_place(start, instr.fu_class, cluster)
+            if slot is not None:
+                self.mrt.slot_place(start, slot)
             for comm in plan:
-                self.mrt.bus_place(comm.start)
+                self.mrt.slot_place(comm.start, BUS_SLOT)
                 self.comms.append(comm)
                 self._comm_index[(comm.producer_uid, comm.dst_cluster)] = comm
             op = PlacedOp(instr=instr, cluster=cluster, start=start, latency=latency)
@@ -290,10 +302,9 @@ class ClusterScheduler:
     def _undo_place(self, op: PlacedOp, new_comms: list[PlacedComm]) -> None:
         """Roll back a placement the policy vetoed."""
         assert self.mrt is not None
-        if op.instr.fu_class is not FUClass.NONE:
-            self.mrt.fu_remove(op.start, op.instr.fu_class, op.cluster)
+        self._free_fu(op)
         for comm in new_comms:
-            self.mrt.bus_remove(comm.start)
+            self.mrt.slot_remove(comm.start, BUS_SLOT)
             self.comms.remove(comm)
             key = (comm.producer_uid, comm.dst_cluster)
             if self._comm_index.get(key) is comm:
@@ -315,19 +326,25 @@ class ClusterScheduler:
         """Unplace a node: free its FU slot and producer-side comms."""
         assert self.mrt is not None
         op = self.placed.pop(uid)
-        if op.instr.fu_class is not FUClass.NONE:
-            self.mrt.fu_remove(op.start, op.instr.fu_class, op.cluster)
+        self._free_fu(op)
         self._cluster_ops[op.cluster] -= 1
         key = (op.cluster, op.instr.fu_class)
         self._cluster_fu_ops[key] -= 1
         for comm in [c for c in self.comms if c.producer_uid == uid]:
-            self.mrt.bus_remove(comm.start)
+            self.mrt.slot_remove(comm.start, BUS_SLOT)
             self.comms.remove(comm)
             index_key = (comm.producer_uid, comm.dst_cluster)
             if self._comm_index.get(index_key) is comm:
                 del self._comm_index[index_key]
         if op.instr.is_memory:
             self.policy.ejected(op, self)
+
+    def _free_fu(self, op: PlacedOp) -> None:
+        """Release the FU slot a placed op holds (if it takes one)."""
+        assert self.mrt is not None
+        slots = self._fu_slots[op.instr.uid]
+        if slots is not None:
+            self.mrt.slot_remove(op.start, slots[op.cluster])
 
     def _plan_comms(
         self, instr: Instruction, cluster: int, start: int, latency: int, ii: int
@@ -344,9 +361,7 @@ class ClusterScheduler:
         pending_bus_rows: dict[int, int] = {}
 
         def bus_free(cycle: int) -> bool:
-            row = cycle % ii
-            extra = pending_bus_rows.get(row, 0)
-            return self.mrt.free(cycle, BUS) - extra > 0
+            return self.mrt.bus_free(cycle) > pending_bus_rows.get(cycle % ii, 0)
 
         def reserve(comm: PlacedComm) -> None:
             row = comm.start % ii

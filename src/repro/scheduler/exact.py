@@ -63,11 +63,15 @@ records ``scheduler``, ``mii``, ``ii_sms``, ``improved``,
 from __future__ import annotations
 
 import time
+from collections import Counter
+from dataclasses import dataclass
 
+from ..isa.instruction import Instruction
 from ..isa.operations import FUClass
 from ..ir.ddg import DDG, DepKind
 from ..ir.stride import is_candidate
 from ..machine.config import ArchKind, MachineConfig
+from ..machine.resources import BUS_SLOT
 from .engine import ClusterScheduler
 from .mii import compute_mii
 from .mrt import ModuloReservationTable
@@ -87,6 +91,36 @@ _TIME_POLL = 1024
 
 class BudgetExhausted(Exception):
     """Raised internally when the node/time budget runs out mid-search."""
+
+
+#: A placed-neighbour constraint: ``(other_uid, fixed_latency, is_reg,
+#: distance)``, where ``fixed_latency`` is ``None`` for a load-sourced
+#: edge whose latency is the producer's placed (or pending) latency.
+_Link = tuple[int, int | None, bool, int]
+
+
+@dataclass(frozen=True, slots=True)
+class _Node:
+    """One instruction as the search sees it, resolved once per scheduler.
+
+    ``_dfs`` and ``_bounds`` read these on every visit and trial instead
+    of re-deriving them from the instruction, the DDG and the policy.
+    """
+
+    instr: Instruction
+    #: MRT slot id of the op's FU class per cluster; ``None`` if it
+    #: takes no issue slot.
+    fu_slots: tuple[int, ...] | None
+    is_memory: bool
+    #: ``(cluster, latency)`` options of a non-memory op, which never
+    #: change; a memory op asks the policy on every visit instead.
+    options: tuple[tuple[int, int], ...]
+    comp: int
+    #: Incoming / outgoing dependences, self-loops dropped.
+    preds: tuple[_Link, ...]
+    succs: tuple[_Link, ...]
+    #: Self-loops as ``(fixed_latency, distance)``.
+    self_loops: tuple[tuple[int | None, int], ...]
 
 
 class ExactScheduler(ClusterScheduler):
@@ -122,8 +156,14 @@ class ExactScheduler(ClusterScheduler):
             for instr in self.loop.body
             if instr.is_load
         }
-        # Weakly-connected DDG components (anchoring is per component).
-        self._comp = self._components()
+        # Per-class op counts for the capacity check on entry to a search.
+        self._fu_demand = Counter(
+            instr.fu_class
+            for instr in self.loop.body
+            if instr.fu_class in (FUClass.INT, FUClass.MEM, FUClass.FP)
+        )
+        self._clusters = list(range(config.n_clusters))
+        self._nodes = self._node_table()
 
     # ------------------------------------------------------------------
     # Top level: deepening loop around the SMS baseline
@@ -215,20 +255,13 @@ class ExactScheduler(ClusterScheduler):
         self._horizon = ii * max(1, stages)
         self._anchor: dict[int, int] = {}
 
-        # FU-demand pruning state: remaining ops per class vs free slots.
-        self._fu_demand = {FUClass.INT: 0, FUClass.MEM: 0, FUClass.FP: 0}
-        for instr in self.loop.body:
-            if instr.fu_class in self._fu_demand:
-                self._fu_demand[instr.fu_class] += 1
-        clusters = self.config.n_clusters
-        self._fu_capacity = {
-            FUClass.INT: ii * self.config.int_units_per_cluster * clusters,
-            FUClass.MEM: ii * self.config.mem_units_per_cluster * clusters,
-            FUClass.FP: ii * self.config.fp_units_per_cluster * clusters,
-        }
-        self._fu_placed = {cls: 0 for cls in self._fu_demand}
+        # FU capacity: more ops of a class than its ii rows of units can
+        # hold refutes this II.  Placing an op never changes placed +
+        # remaining per class, so this entry check is all FU counting
+        # can prune.
         if any(
-            self._fu_demand[cls] > self._fu_capacity[cls] for cls in self._fu_demand
+            demand > ii * self.resources.total_fu_slots(cls)
+            for cls, demand in self._fu_demand.items()
         ):
             return None
 
@@ -249,53 +282,40 @@ class ExactScheduler(ClusterScheduler):
     def _dfs(self, order: list[int], depth: int, ii: int) -> bool:
         if depth == len(order):
             return True
-        uid = order[depth]
-        instr = self.ddg.instruction(uid)
-        clusters = list(range(self.config.n_clusters))
-        if instr.is_memory:
-            options = self.policy.options(instr, clusters)
+        node = self._nodes[order[depth]]
+        instr = node.instr
+        if node.is_memory:
+            options = self.policy.options(instr, list(self._clusters))
         else:
-            latency = self.config.latency_of(instr.opcode)
-            options = [(c, latency) for c in clusters]
-        comp = self._comp[uid]
+            options = node.options
         tried: set[tuple[int, int]] = set()
         for cluster, latency in options:
             if (cluster, latency) in tried:
                 continue
             tried.add((cluster, latency))
-            if not self._self_edges_feasible(uid, latency, ii):
+            if not self._self_loops_feasible(node, latency, ii):
                 continue
-            bounds = self._bounds(instr, cluster, latency, ii, comp)
+            bounds = self._bounds(node, cluster, latency, ii)
             if bounds is None:
                 continue
             lo, hi = bounds
             for start in range(lo, hi + 1):
                 self._charge()
-                applied = self._apply(instr, cluster, latency, start, ii)
+                applied = self._apply(node, cluster, latency, start, ii)
                 if applied is None:
                     continue
                 op, plan, replaced = applied
-                anchored = comp not in self._anchor
+                anchored = node.comp not in self._anchor
                 if anchored:
-                    self._anchor[comp] = start
-                committed = True
-                if instr.is_memory:
-                    committed = self.policy.committed(instr, op, self)
-                if committed:
-                    cls = instr.fu_class
-                    if cls in self._fu_placed:
-                        self._fu_placed[cls] += 1
-                        self._fu_demand[cls] -= 1
-                    if self._fu_feasible() and self._dfs(order, depth + 1, ii):
+                    self._anchor[node.comp] = start
+                if not node.is_memory or self.policy.committed(instr, op, self):
+                    if self._dfs(order, depth + 1, ii):
                         return True
-                    if cls in self._fu_placed:
-                        self._fu_placed[cls] -= 1
-                        self._fu_demand[cls] += 1
-                    if instr.is_memory:
+                    if node.is_memory:
                         self.policy.ejected(op, self)
                 if anchored:
-                    del self._anchor[comp]
-                self._revert(op, plan, replaced)
+                    del self._anchor[node.comp]
+                self._revert(node, op, plan, replaced)
         return False
 
     # ------------------------------------------------------------------
@@ -303,83 +323,85 @@ class ExactScheduler(ClusterScheduler):
     # ------------------------------------------------------------------
 
     def _apply(
-        self, instr, cluster: int, latency: int, start: int, ii: int
+        self, node: _Node, cluster: int, latency: int, start: int, ii: int
     ) -> tuple[PlacedOp, list[PlacedComm], list] | None:
-        assert self.mrt is not None
-        if instr.fu_class is not FUClass.NONE and not self.mrt.fu_can_place(
-            start, instr.fu_class, cluster
-        ):
+        mrt = self.mrt
+        assert mrt is not None
+        slot = None if node.fu_slots is None else node.fu_slots[cluster]
+        if slot is not None and not mrt.slot_can_place(start, slot):
             return None
-        plan = self._plan_comms(instr, cluster, start, latency, ii)
+        plan = self._plan_comms(node.instr, cluster, start, latency, ii)
         if plan is None:
             return None
-        if instr.fu_class is not FUClass.NONE:
-            self.mrt.fu_place(start, instr.fu_class, cluster)
+        if slot is not None:
+            mrt.slot_place(start, slot)
         replaced: list[tuple[tuple[int, int], PlacedComm | None]] = []
         for comm in plan:
-            self.mrt.bus_place(comm.start)
+            mrt.slot_place(comm.start, BUS_SLOT)
             self.comms.append(comm)
             key = (comm.producer_uid, comm.dst_cluster)
             replaced.append((key, self._comm_index.get(key)))
             self._comm_index[key] = comm
-        op = PlacedOp(instr=instr, cluster=cluster, start=start, latency=latency)
-        self.placed[instr.uid] = op
+        op = PlacedOp(instr=node.instr, cluster=cluster, start=start, latency=latency)
+        self.placed[node.instr.uid] = op
         return op, plan, replaced
 
-    def _revert(self, op: PlacedOp, plan: list[PlacedComm], replaced: list) -> None:
-        assert self.mrt is not None
-        del self.placed[op.instr.uid]
+    def _revert(
+        self, node: _Node, op: PlacedOp, plan: list[PlacedComm], replaced: list
+    ) -> None:
+        mrt = self.mrt
+        assert mrt is not None
+        del self.placed[node.instr.uid]
         for key, old in reversed(replaced):
             if old is None:
                 self._comm_index.pop(key, None)
             else:
                 self._comm_index[key] = old
-        for comm in plan:
-            self.mrt.bus_remove(comm.start)
-            self.comms.remove(comm)
-        if op.instr.fu_class is not FUClass.NONE:
-            self.mrt.fu_remove(op.start, op.instr.fu_class, op.cluster)
+        if plan:
+            for comm in plan:
+                mrt.slot_remove(comm.start, BUS_SLOT)
+            # The search is LIFO: this placement's comms are the newest.
+            del self.comms[-len(plan):]
+        if node.fu_slots is not None:
+            mrt.slot_remove(op.start, node.fu_slots[op.cluster])
 
     # ------------------------------------------------------------------
     # Windows, pruning and budgets
     # ------------------------------------------------------------------
 
     def _bounds(
-        self, instr, cluster: int, latency: int, ii: int, comp: int
+        self, node: _Node, cluster: int, latency: int, ii: int
     ) -> tuple[int, int] | None:
-        """Complete start window for ``instr`` under current placements."""
-        anchor = self._anchor.get(comp)
+        """Complete start window for ``node`` under current placements."""
+        anchor = self._anchor.get(node.comp)
         if anchor is None:
             # First node of its component: any schedule can be shifted by
             # a multiple of II, so II consecutive candidates suffice.
-            base = self._asap[instr.uid] if self._asap is not None else 0
+            base = self._asap[node.instr.uid] if self._asap is not None else 0
             return base, base + ii - 1
         bus = self.config.bus_latency
+        placed = self.placed
         lo = anchor - self._horizon
         hi = anchor + self._horizon
-        for edge in self.ddg.preds[instr.uid]:
-            if edge.src == instr.uid:
-                continue
-            src_op = self.placed.get(edge.src)
+        for src, fixed, is_reg, distance in node.preds:
+            src_op = placed.get(src)
             if src_op is None:
                 continue
-            lat = self._edge_latency(edge, instr.uid, latency)
-            low = src_op.start + lat - ii * edge.distance
-            if edge.kind is DepKind.REG and src_op.cluster != cluster:
+            lat = src_op.latency if fixed is None else fixed
+            low = src_op.start + lat - ii * distance
+            if is_reg and src_op.cluster != cluster:
                 # Optimistic: a fresh transfer can arrive at produce+bus;
                 # _plan_comms verifies an actual bus slot exists.
                 low += bus
             if low > lo:
                 lo = low
-        for edge in self.ddg.succs[instr.uid]:
-            if edge.dst == instr.uid:
-                continue
-            dst_op = self.placed.get(edge.dst)
+        for dst, fixed, is_reg, distance in node.succs:
+            dst_op = placed.get(dst)
             if dst_op is None:
                 continue
-            lat = self._edge_latency(edge, instr.uid, latency)
-            high = dst_op.start + ii * edge.distance - lat
-            if edge.kind is DepKind.REG and dst_op.cluster != cluster:
+            lat = latency if fixed is None else fixed
+            high = dst_op.start + ii * distance - lat
+            if is_reg and dst_op.cluster != cluster:
                 high -= bus
             if high < hi:
                 hi = high
@@ -387,25 +409,18 @@ class ExactScheduler(ClusterScheduler):
             return None
         return lo, hi
 
-    def _self_edges_feasible(self, uid: int, latency: int, ii: int) -> bool:
-        for edge in self.ddg.succs[uid]:
-            if edge.dst != uid:
-                continue
-            lat = edge.fixed_latency if edge.fixed_latency is not None else latency
-            if lat > ii * edge.distance:
+    @staticmethod
+    def _self_loops_feasible(node: _Node, latency: int, ii: int) -> bool:
+        for fixed, distance in node.self_loops:
+            if (latency if fixed is None else fixed) > ii * distance:
                 return False
         return True
 
-    def _fu_feasible(self) -> bool:
-        return all(
-            self._fu_demand[cls] <= self._fu_capacity[cls] - self._fu_placed[cls]
-            for cls in self._fu_demand
-        )
-
     def _charge(self) -> None:
-        self.nodes_explored += 1
-        if self.nodes_explored > self.node_budget:
+        """Count one placement trial, or stop the search before it."""
+        if self.nodes_explored >= self.node_budget:
             raise BudgetExhausted
+        self.nodes_explored += 1
         if (
             self._deadline is not None
             and self.nodes_explored % _TIME_POLL == 0
@@ -423,6 +438,39 @@ class ExactScheduler(ClusterScheduler):
         if self.config.arch is ArchKind.L0 and is_candidate(instr):
             return min(self.config.l0_latency, self.config.l1_latency)
         return self.policy.planned_latency(uid)
+
+    def _node_table(self) -> dict[int, _Node]:
+        comp = self._components()
+        nodes: dict[int, _Node] = {}
+        for instr in self.loop.body:
+            uid = instr.uid
+            options: tuple[tuple[int, int], ...] = ()
+            if not instr.is_memory:
+                latency = self.config.latency_of(instr.opcode)
+                options = tuple((c, latency) for c in self._clusters)
+            nodes[uid] = _Node(
+                instr=instr,
+                fu_slots=self._fu_slots[uid],
+                is_memory=instr.is_memory,
+                options=options,
+                comp=comp[uid],
+                preds=tuple(
+                    (e.src, e.fixed_latency, e.kind is DepKind.REG, e.distance)
+                    for e in self.ddg.preds[uid]
+                    if e.src != uid
+                ),
+                succs=tuple(
+                    (e.dst, e.fixed_latency, e.kind is DepKind.REG, e.distance)
+                    for e in self.ddg.succs[uid]
+                    if e.dst != uid
+                ),
+                self_loops=tuple(
+                    (e.fixed_latency, e.distance)
+                    for e in self.ddg.succs[uid]
+                    if e.dst == uid
+                ),
+            )
+        return nodes
 
     def _components(self) -> dict[int, int]:
         """Map uid -> weakly-connected component id of the DDG."""

@@ -94,6 +94,7 @@ class L0Policy:
         self.replicas: list[PlacedOp] = []
         self.replica_comms: list[PlacedComm] = []
         self._ii = 0
+        self._slack_memo: dict[tuple[DDG, int, frozenset[int]], dict[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Small helpers
@@ -119,6 +120,16 @@ class L0Policy:
         return self._l0() if uid in self.l0_planned else self._l1()
 
     def _slack_at(self, ddg: DDG, ii: int) -> dict[int, int]:
+        """Per-node slack under the current latency plan (read-only).
+
+        A pure function of ``(ddg, ii, l0_planned)`` for this policy, so
+        it is memoised on that key: the exact scheduler's backtracking
+        revisits the same plans many thousands of times.
+        """
+        key = (ddg, ii, frozenset(self.l0_planned))
+        slack = self._slack_memo.get(key)
+        if slack is not None:
+            return slack
         slack = ddg.slack(ii, self.planned_latency)
         probe = ii
         while slack is None:
@@ -126,6 +137,7 @@ class L0Policy:
             if probe > 1 << 20:
                 raise ValueError("no feasible II while computing slack")
             slack = ddg.slack(probe, self.planned_latency)
+        self._slack_memo[key] = slack
         return slack
 
     # ------------------------------------------------------------------

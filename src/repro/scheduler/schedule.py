@@ -20,7 +20,7 @@ from ..ir.ddg import DDG
 from ..machine.config import MachineConfig
 
 
-@dataclass
+@dataclass(slots=True)
 class PlacedOp:
     """One scheduled instruction."""
 
@@ -41,7 +41,7 @@ class PlacedOp:
         raise AttributeError("use ModuloSchedule.row_of(); PlacedOp has no II")
 
 
-@dataclass
+@dataclass(slots=True)
 class PlacedComm:
     """An inter-cluster register copy occupying one bus slot."""
 
@@ -52,7 +52,7 @@ class PlacedComm:
     latency: int  # bus latency (value available at start + latency)
 
 
-@dataclass
+@dataclass(slots=True)
 class PlacedPrefetch:
     """An explicit software prefetch inserted by step 5."""
 

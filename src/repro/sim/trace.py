@@ -76,7 +76,7 @@ CONV_MIN_PERIODS = 3
 CONV_TIME_HORIZON = 4096
 
 
-@dataclass
+@dataclass(slots=True)
 class _StaticEvent:
     """Build-time representation of one kernel-window event."""
 

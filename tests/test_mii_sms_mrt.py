@@ -1,10 +1,11 @@
 """Tests for MII computation, SMS ordering and the reservation table."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ir import LoopBuilder, build_ddg, unroll
 from repro.isa import FUClass
-from repro.machine import ResourceModel, unified_config
+from repro.machine import BUS, ClusterResource, ResourceModel, unified_config
 from repro.scheduler import (
     Direction,
     ModuloReservationTable,
@@ -175,3 +176,79 @@ class TestMRT:
     def test_bad_ii_rejected(self):
         with pytest.raises(ValueError):
             ModuloReservationTable(0, ResourceModel(CFG))
+
+
+# ----------------------------------------------------------------------
+# Differential test: the dense table against a dict-of-counts model
+# ----------------------------------------------------------------------
+
+#: Two clusters, two INT units, three buses: capacities above one so the
+#: model's counting is exercised, not just occupancy.
+MRT_CFG = unified_config(n_clusters=2, int_units_per_cluster=2, n_buses=3)
+
+#: Resources the machine has, then ones it lacks (zero capacity).
+KNOWN = [BUS] + [
+    ClusterResource(fu, c)
+    for c in range(2)
+    for fu in (FUClass.INT, FUClass.MEM, FUClass.FP)
+]
+UNKNOWN = [
+    "nonsense",
+    ClusterResource(FUClass.INT, 2),
+    ClusterResource(FUClass.BUS, 0),
+    ClusterResource(FUClass.NONE, 1),
+]
+MODEL_CAPACITY = {BUS: 3} | {
+    r: (2 if r.fu_class is FUClass.INT else 1) for r in KNOWN if r is not BUS
+}
+
+mrt_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["place", "remove", "slot_place", "slot_remove"]),
+        st.integers(min_value=-40, max_value=40),
+        st.sampled_from(KNOWN + UNKNOWN),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ii=st.integers(min_value=1, max_value=5), ops=mrt_ops)
+def test_dense_mrt_matches_count_model(ii, ops):
+    resources = ResourceModel(MRT_CFG)
+    mrt = ModuloReservationTable(ii, resources)
+    model: dict[tuple[int, object], int] = {}
+    for op, cycle, resource in ops:
+        slot = resources.slot_of(resource)
+        if op.startswith("slot_"):
+            if slot is None:
+                continue  # unknown resources have no slot id
+            op = op.removeprefix("slot_")
+            act = getattr(mrt, f"slot_{op}")
+            arg = slot
+        else:
+            act = getattr(mrt, op)
+            arg = resource
+        key = (cycle % ii, resource)
+        count = model.get(key, 0)
+        capacity = MODEL_CAPACITY.get(resource, 0)
+        allowed = count < capacity if op == "place" else count > 0
+        if allowed:
+            act(cycle, arg)
+            model[key] = count + (1 if op == "place" else -1)
+        else:
+            with pytest.raises(ValueError):
+                act(cycle, arg)
+        for row in range(ii):
+            for probe in KNOWN + UNKNOWN:
+                want = model.get((row, probe), 0)
+                # Any cycle in the row reads the same counts.
+                probe_cycle = row - ii * (cycle % 3)
+                assert mrt.used(probe_cycle, probe) == want
+                free = MODEL_CAPACITY.get(probe, 0) - want
+                assert mrt.free(probe_cycle, probe) == free
+                assert mrt.can_place(probe_cycle, probe) == (free > 0)
+                probe_slot = resources.slot_of(probe)
+                if probe_slot is not None:
+                    assert mrt.slot_can_place(probe_cycle, probe_slot) == (free > 0)
+            assert mrt.bus_free(row) == 3 - model.get((row, BUS), 0)
